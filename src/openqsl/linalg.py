@@ -34,11 +34,6 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
-
-
 def frobenius_norm(m: np.ndarray) -> float:
     """sqrt(Tr(m^dag m)); zero iff m is the zero matrix."""
     return float(np.sqrt(np.sum(np.abs(m) ** 2)))

@@ -183,6 +183,109 @@ class TestLiouvillianMatrix:
         via_stages = dynamics._rk4_step(model, rho, h)
         np.testing.assert_allclose(via_prop, via_stages, atol=1e-14)
 
+    def test_cached_on_model_and_read_only(self, rng):
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, 3),
+            lindblad_ops=(random_complex_matrix(rng, 3),),
+        )
+        assert model.liouvillian is model.liouvillian
+        np.testing.assert_array_equal(model.liouvillian, liouvillian_matrix(model))
+        with pytest.raises(ValueError):
+            model.liouvillian[0, 0] = 1.0
+
+
+class TestBlockedPropagation:
+    @staticmethod
+    def _model_and_start(rng, dim):
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, dim),
+            lindblad_ops=(0.5 * random_complex_matrix(rng, dim),),
+        )
+        return model, linalg.projector(random_state(rng, dim))
+
+    def test_block_size_rule(self):
+        assert dynamics._block_size(2, 1024) == dynamics.BLOCK_STEPS[2]
+        assert dynamics._block_size(4, 4 * 1024) == 2 * dynamics.BLOCK_STEPS[4]
+        assert dynamics._block_size(2, dynamics.BLOCK_MIN_STEPS - 1) == 1
+        assert dynamics._block_size(max(dynamics.BLOCK_STEPS) + 1, 10**6) == 1
+        for dim in dynamics.BLOCK_STEPS:
+            for n in (32, 33, 1000, 12_000, 10**7):
+                b = dynamics._block_size(dim, n)
+                assert 1 <= b <= n
+                assert b == 1 or b * dim**4 <= dynamics.POWER_ENTRY_CAP
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_matches_per_step_reference(self, rng, monkeypatch, dim):
+        model, rho0 = self._model_and_start(rng, dim)
+        h = 1e-3
+        for b in sorted({1, 2, 7, dynamics._block_size(dim, 1024)}):
+            monkeypatch.setattr(dynamics, "_block_size", lambda d, n, b=b: min(b, n))
+            ref = [rho0]
+            for _ in range(3 * b + 5):
+                ref.append(dynamics._rk4_step(model, ref[-1], h))
+            for n in sorted({1, max(b - 1, 1), b, b + 1, 3 * b + 5}):
+                states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
+                assert states.shape == (n + 1, dim, dim)
+                np.testing.assert_allclose(states, np.array(ref[: n + 1]), rtol=0.0, atol=1e-12)
+                assert n_renorm == 0
+                assert trace_errors.max() <= dynamics.RENORM_THRESHOLD
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("path", ["superoperator", "four_stage"])
+    def test_renormalization_count(self, rng, monkeypatch, dim, path):
+        # only the start is off; the dynamics preserve the trace, so one
+        # rescale fixes every later state, block starts and in-between alike
+        if path == "four_stage":
+            monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+        model, rho0 = self._model_and_start(rng, dim)
+        rho0 = (1.0 + 1e-9) * rho0
+        n = 3 * dynamics._block_size(dim, 1024) + 5
+        states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, 1e-3)
+        assert n_renorm == 1
+        assert trace_errors[0] == pytest.approx(1e-9, rel=1e-6)
+        assert trace_errors[1:].max() <= dynamics.RENORM_THRESHOLD
+        traces = np.trace(states, axis1=1, axis2=2).real
+        assert np.abs(traces - 1.0).max() <= dynamics.RENORM_THRESHOLD
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_every_drifting_state_is_rescaled(self, rng, monkeypatch, dim):
+        # a step map that gains 1e-10 of trace per step: every state after
+        # the first drifts past the threshold, block starts and in-between
+        # states alike, and must come back to the rescaled exact chain
+        original = dynamics._rk4_propagator
+        monkeypatch.setattr(
+            dynamics, "_rk4_propagator", lambda a, h: (1.0 + 1e-10) * original(a, h)
+        )
+        model, rho0 = self._model_and_start(rng, dim)
+        h = 1e-3
+        n = 3 * dynamics._block_size(dim, 1024) + 5
+        states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
+        assert n_renorm == n
+        assert trace_errors[1:].min() > dynamics.RENORM_THRESHOLD
+        ref = [rho0]
+        for _ in range(n):
+            ref.append(dynamics._rk4_step(model, ref[-1], h))
+        ref = np.array(ref)
+        ref /= np.trace(ref, axis1=1, axis2=2)[:, None, None]
+        np.testing.assert_allclose(states, ref, rtol=0.0, atol=1e-12)
+
+    def test_liouvillian_built_once_per_fisher_check(self, rng, monkeypatch):
+        from openqsl.fisher import verify_fisher_tradeoff
+
+        calls = []
+        original = dynamics.liouvillian_matrix
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(dynamics, "liouvillian_matrix", counting)
+        models = [self._model_and_start(rng, 3)[0] for _ in range(2)]
+        psi0 = random_state(rng, 3)
+        for model in models:
+            verify_fisher_tradeoff(model, psi0, [1e-3, 1e-2, 3e-2, 1e-1], 1e-3)
+        assert [id(m) for m in calls] == [id(m) for m in models]
+
 
 class TestEvolve:
     def test_emission_angle_vs_fine_reference(self):

@@ -249,11 +249,11 @@ class TestTQsl:
             q2 = qsl.compute_quantities(
                 LindbladModel(lam * h, tuple(math.sqrt(lam) * op for op in ops)), psi
             )
-            assert q2.v_coeff == pytest.approx(lam * q1.v_coeff, rel=1e-10)
-            assert q2.e_term == pytest.approx(lam * q1.e_term, rel=1e-10)
+            assert q2.v_coeff == pytest.approx(lam * q1.v_coeff, rel=1e-10, abs=0.0)
+            assert q2.e_term == pytest.approx(lam * q1.e_term, rel=1e-10, abs=0.0)
             theta = rng.uniform(0.1, 1.5)
             assert qsl.t_qsl(q2, theta) == pytest.approx(
-                qsl.t_qsl(q1, theta) / lam, rel=1e-10
+                qsl.t_qsl(q1, theta) / lam, rel=1e-10, abs=0.0
             )
 
 
@@ -301,7 +301,7 @@ class TestFRatio:
         theta = 0.9
         r = 1e-9
         assert qsl.f_ratio(r, theta) == pytest.approx(
-            r * math.sin(theta) ** 2, rel=1e-6
+            r * math.sin(theta) ** 2, rel=1e-6, abs=0.0
         )
 
     def test_zero_angle(self):
