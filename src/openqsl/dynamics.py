@@ -122,6 +122,16 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two d x d matrices as one broadcast product.
+
+    Each entry is the same single product a[i, j] * b[k, l], so the result
+    is bitwise equal to np.kron, without its generic-shape overhead.
+    """
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Dense d^2 x d^2 superoperator acting on row-major vectorized states.
 
@@ -130,11 +140,11 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     h = model.hamiltonian
     d = model.dim
     eye = np.eye(d, dtype=complex)
-    a = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    a = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for op in model.lindblad_ops:
         ldl = op.conj().T @ op
-        a += np.kron(op, op.conj())
-        a -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        a += _kron(op, op.conj())
+        a -= 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
     return a
 
 
@@ -152,20 +162,33 @@ class Trajectory:
     On the blocked superoperator path every block start is rescaled to unit
     trace and the states after it are powers of the step map applied to it,
     so an error is the drift accumulated over at most B steps.
+
+    ``min_eigs[k]`` is the lowest eigenvalue of state k from
+    ``np.linalg.eigvalsh`` (lower triangle). ``evolve`` certifies positivity
+    without it, so it is computed exactly on first read and then cached,
+    read-only, like ``min_eig``.
     """
 
     times: np.ndarray
     states: np.ndarray
     bures_angles: np.ndarray
     trace_errors: np.ndarray
-    min_eigs: np.ndarray
     trace_drift: float
-    min_eig: float
     herm_drift: float
     renormalizations: int
     dt: float
     model: LindbladModel
     rho0: np.ndarray
+
+    @functools.cached_property
+    def min_eigs(self) -> np.ndarray:
+        a = _min_eigs(self.states)
+        a.setflags(write=False)
+        return a
+
+    @functools.cached_property
+    def min_eig(self) -> float:
+        return float(self.min_eigs.min())
 
 
 def _rk4_step(model: LindbladModel, rho: np.ndarray, h: float) -> np.ndarray:
@@ -283,23 +306,80 @@ def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float):
     return flat.reshape(n_steps + 1, d, d), trace_errors, n_renorm
 
 
-def _max_herm_deviation(states: np.ndarray, chunk: int = 8192) -> float:
+# States per chunk of the batched per-state checks, so that their
+# temporaries stay bounded however long the trajectory is.
+STATE_CHUNK = 8192
+
+
+def _chunks(states: np.ndarray):
+    """(start, states[start:start + STATE_CHUNK]) over the whole stack."""
+    for start in range(0, states.shape[0], STATE_CHUNK):
+        yield start, states[start : start + STATE_CHUNK]
+
+
+def _max_herm_deviation(states: np.ndarray) -> float:
     worst = 0.0
-    for start in range(0, states.shape[0], chunk):
-        block = states[start : start + chunk]
+    for _, block in _chunks(states):
         dev = np.abs(block - block.conj().transpose(0, 2, 1)).max()
         worst = max(worst, float(dev))
     return worst
+
+
+def _first_nonfinite(states: np.ndarray) -> int | None:
+    """Index of the first state with a NaN or infinite entry, else None."""
+    for start, block in _chunks(states):
+        finite = np.isfinite(block)
+        if not finite.all():
+            return start + int(np.argmin(finite.all(axis=(1, 2))))
+    return None
+
+
+def _min_eigs(states: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of every state, from eigvalsh on the lower triangle."""
+    return np.concatenate([np.linalg.eigvalsh(block)[:, 0].real for _, block in _chunks(states)])
+
+
+# Positivity certificate. Cholesky of A = rho + c I with
+# c = -MIN_EIG_LIMIT (1 - 1e-6) reads the lower triangle, as eigvalsh does;
+# the asymmetry of a state is tracked separately in herm_drift. If it
+# succeeds in floating point, the computed factor R satisfies
+# R^* R = A + dA with |dA| <= gamma_{d+1} |R^*| |R| entrywise, gamma_k = k u
+# / (1 - k u) up to a small constant in complex arithmetic (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10, Thm
+# 10.3). The columns of R have squared norms a_ii (1 + O(u)), so
+# ||dA||_2 <= gamma_{d+1} tr(A) (1 + O(u)), with tr(A) = tr(rho) + d c ~ 1;
+# rounding rho + c I adds O(u) more. A + dA is positive semidefinite, hence
+#     lambda_min(rho) >= -c - O(d u) = MIN_EIG_LIMIT + 1e-11 - O(d u),
+# above MIN_EIG_LIMIT while O(d u) ~ 1e-15 (d + 1) stays below 1e-11, i.e.
+# for every d up to the package's dense cap of 4096. eigvalsh, backward
+# stable to O(d u), then also reads a lowest eigenvalue above the limit, so
+# a success is the exact rule's pass; only a failure needs eigvalsh.
+_POSITIVITY_SHIFT = -MIN_EIG_LIMIT * (1.0 - 1e-6)
+
+
+def _positivity_certified(states: np.ndarray) -> bool:
+    """True when Cholesky proves every lowest eigenvalue >= MIN_EIG_LIMIT."""
+    shift = _POSITIVITY_SHIFT * np.eye(states.shape[1])
+    try:
+        for _, block in _chunks(states):
+            np.linalg.cholesky(block + shift)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     """Integrate from the pure state psi0 over [0, t_end] with step ~dt.
 
     The grid is n = round(t_end/dt) uniform steps, so halving dt exactly
-    halves the step. Bures angles, trace and positivity diagnostics are
-    recorded at every grid point; the run is rejected when the trace drift
-    exceeds 1e-6 or an eigenvalue falls below -1e-5, which indicates the
-    step is too coarse for the generator.
+    halves the step. Bures angles and trace diagnostics are recorded at
+    every grid point. The run is rejected with ``IntegrationQualityError``,
+    which indicates the step is too coarse for the generator, when a state
+    has a NaN or infinite entry, the trace drift exceeds 1e-6, or an
+    eigenvalue falls below -1e-5. Positivity is certified by one batched
+    Cholesky factorization of every state shifted by just under 1e-5; only
+    when that fails are the exact eigvalsh eigenvalues computed, and they
+    decide. The per-state ``min_eigs`` are computed when first read.
     """
     psi0 = linalg.pure_state(psi0)
     if psi0.size != model.dim:
@@ -319,34 +399,34 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     states, trace_errors, n_renorm = _propagate(model, rho0, n_steps, h)
     times = np.arange(n_steps + 1) * h
 
+    bad = _first_nonfinite(states)
+    if bad is not None:
+        raise IntegrationQualityError(
+            f"integration quality failure: non-finite state at t = {times[bad]:.6g} "
+            f"(step {bad}); retry with a smaller dt"
+        )
+    trace_drift = float(trace_errors.max())
+    if trace_drift > TRACE_DRIFT_LIMIT or not _positivity_certified(states):
+        min_eig = float(_min_eigs(states).min())
+        if trace_drift > TRACE_DRIFT_LIMIT or min_eig < MIN_EIG_LIMIT:
+            raise IntegrationQualityError(
+                f"integration quality failure: trace drift {trace_drift:.3e}, "
+                f"min eigenvalue {min_eig:.3e}; retry with a smaller dt"
+            )
+
     overlaps = np.real(states.reshape(n_steps + 1, -1) @ rho0.reshape(-1).conj())
     # The k=0 overlap is Tr(rho0^2) = 1 exactly for a pure start; pin it so
     # rounding in |psi|^4 cannot produce a spurious ~1e-8 initial angle.
     overlaps[0] = 1.0
     angles = np.arccos(np.sqrt(np.clip(overlaps, 0.0, 1.0)))
 
-    herm_drift = _max_herm_deviation(states)
-    # eigvalsh reads the lower triangle only; fine for near-Hermitian states
-    # whose asymmetry is tracked separately in herm_drift.
-    min_eigs = np.linalg.eigvalsh(states)[:, 0].real
-    trace_drift = float(trace_errors.max())
-    min_eig = float(min_eigs.min())
-
-    if trace_drift > TRACE_DRIFT_LIMIT or min_eig < MIN_EIG_LIMIT:
-        raise IntegrationQualityError(
-            f"integration quality failure: trace drift {trace_drift:.3e}, "
-            f"min eigenvalue {min_eig:.3e}; retry with a smaller dt"
-        )
-
     return Trajectory(
         times=times,
         states=states,
         bures_angles=angles,
         trace_errors=trace_errors,
-        min_eigs=min_eigs,
         trace_drift=trace_drift,
-        min_eig=min_eig,
-        herm_drift=herm_drift,
+        herm_drift=_max_herm_deviation(states),
         renormalizations=n_renorm,
         dt=h,
         model=model,

@@ -183,6 +183,28 @@ class TestLiouvillianMatrix:
         via_stages = dynamics._rk4_step(model, rho, h)
         np.testing.assert_allclose(via_prop, via_stages, atol=1e-14)
 
+    def test_bitwise_equal_to_kron_reference(self, rng):
+        def kron_reference(model):
+            h = model.hamiltonian
+            eye = np.eye(model.dim, dtype=complex)
+            a = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+            for op in model.lindblad_ops:
+                ldl = op.conj().T @ op
+                a += np.kron(op, op.conj())
+                a -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+            return a
+
+        for dim in range(2, 9):
+            for n_ops in range(4):
+                model = LindbladModel(
+                    hamiltonian=random_hermitian(rng, dim),
+                    lindblad_ops=tuple(random_complex_matrix(rng, dim) for _ in range(n_ops)),
+                )
+                got = liouvillian_matrix(model)
+                want = kron_reference(model)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_cached_on_model_and_read_only(self, rng):
         model = LindbladModel(
             hamiltonian=random_hermitian(rng, 3),
@@ -285,6 +307,132 @@ class TestBlockedPropagation:
         for model in models:
             verify_fisher_tradeoff(model, psi0, [1e-3, 1e-2, 3e-2, 1e-1], 1e-3)
         assert [id(m) for m in calls] == [id(m) for m in models]
+
+
+def _rotated_states(rng, dim, lowest):
+    """Random U diag(p) U^dag with min(p) = lowest and sum(p) = 1."""
+    u, _ = np.linalg.qr(random_complex_matrix(rng, dim))
+    p = rng.uniform(0.1, 1.0, dim)
+    p[0] = 0.0
+    p *= (1.0 - lowest) / p.sum()
+    p[0] = lowest
+    return (u * p) @ u.conj().T
+
+
+class TestPositivityGate:
+    @staticmethod
+    def _evolve_on(monkeypatch, states, trace_errors=None):
+        """Run evolve's checks on a given state stack in place of integration."""
+        n = len(states) - 1
+        errors = np.zeros(n + 1) if trace_errors is None else trace_errors
+        monkeypatch.setattr(dynamics, "_propagate", lambda model, rho0, n_steps, h: (states, errors, 0))
+        dim = states.shape[1]
+        model = LindbladModel(hamiltonian=np.zeros((dim, dim), dtype=complex))
+        psi0 = np.zeros(dim, dtype=complex)
+        psi0[0] = 1.0
+        return evolve(model, psi0, 0.1 * n, 0.1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "lowest", [-1.0000001e-5, -1e-5, -0.9999995e-5, -0.999998e-5, -0.99999e-5, 0.0]
+    )
+    def test_decision_matches_exact_eigvalsh_rule(self, rng, monkeypatch, dim, lowest):
+        # every state well inside the cone except the last, which sits at the
+        # edge; small chunks put it in a chunk of its own
+        monkeypatch.setattr(dynamics, "STATE_CHUNK", 4)
+        for _ in range(5):
+            states = np.array(
+                [_rotated_states(rng, dim, 0.01) for _ in range(8)]
+                + [_rotated_states(rng, dim, lowest)]
+            )
+            passes = bool(np.linalg.eigvalsh(states).min() >= dynamics.MIN_EIG_LIMIT)
+            if passes:
+                traj = self._evolve_on(monkeypatch, states)
+                assert traj.min_eig >= dynamics.MIN_EIG_LIMIT
+            else:
+                with pytest.raises(IntegrationQualityError, match="min eigenvalue"):
+                    self._evolve_on(monkeypatch, states)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_certificate_is_sound_and_tight(self, rng, dim):
+        # certified down to just above -c = -0.999999e-5; below that the
+        # exact eigenvalues decide, even where they still pass (-0.9999995e-5)
+        for lowest, certified in [
+            (0.0, True),
+            (-0.99999e-5, True),
+            (-0.999998e-5, True),
+            (-0.9999995e-5, False),
+            (-1e-5, False),
+            (-1.0000001e-5, False),
+        ]:
+            states = np.array([_rotated_states(rng, dim, lowest) for _ in range(6)])
+            assert dynamics._positivity_certified(states) is certified
+            if certified:
+                assert np.linalg.eigvalsh(states).min() >= dynamics.MIN_EIG_LIMIT
+
+    def test_successful_evolve_makes_no_eigvalsh_call(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        model, psi0 = spontaneous_emission_model(1.0)
+        traj = evolve(model, psi0, 1.0, 1e-3)
+        assert calls == []
+        traj.min_eigs
+        traj.min_eig
+        traj.min_eigs
+        assert len(calls) == 1
+
+    def test_min_eigs_bitwise_equal_to_eigvalsh(self, rng, monkeypatch):
+        monkeypatch.setattr(dynamics, "STATE_CHUNK", 7)
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, 3),
+            lindblad_ops=(0.5 * random_complex_matrix(rng, 3),),
+        )
+        traj = evolve(model, random_state(rng, 3), 0.1, 1e-3)
+        want = np.linalg.eigvalsh(traj.states)[:, 0].real
+        assert traj.min_eigs.dtype == want.dtype
+        assert traj.min_eigs.tobytes() == want.tobytes()
+        assert traj.min_eig == float(want.min())
+        with pytest.raises(ValueError):
+            traj.min_eigs[0] = 1.0
+
+    def test_trace_failure_reports_exact_min_eig(self, rng, monkeypatch):
+        states = np.array([_rotated_states(rng, 3, 0.01) for _ in range(5)])
+        errors = np.zeros(5)
+        errors[2] = 2e-6
+        want = np.linalg.eigvalsh(states)[:, 0].min()
+        with pytest.raises(IntegrationQualityError) as info:
+            self._evolve_on(monkeypatch, states, errors)
+        assert str(info.value) == (
+            f"integration quality failure: trace drift {2e-6:.3e}, "
+            f"min eigenvalue {want:.3e}; retry with a smaller dt"
+        )
+
+    def test_non_finite_trajectory_rejected(self):
+        # the step overflows: every state after the first is NaN, and NaN
+        # compares false against both limits
+        model = LindbladModel(
+            hamiltonian=np.diag([1e100, -1e100]).astype(complex),
+            lindblad_ops=(1e90 * SIGMA_MINUS,),
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationQualityError, match="non-finite state at t = 0.2 "):
+                evolve(model, np.array([1.0, 1.0]) / np.sqrt(2.0), 1.0, 0.2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_anywhere_rejected(self, rng, monkeypatch, bad):
+        # eigvalsh and Cholesky read only the lower triangle; the finiteness
+        # check reads every entry
+        monkeypatch.setattr(dynamics, "STATE_CHUNK", 4)
+        states = np.array([_rotated_states(rng, 3, 0.01) for _ in range(9)])
+        states[7, 0, 2] = bad
+        with pytest.raises(IntegrationQualityError, match=r"\(step 7\)"):
+            self._evolve_on(monkeypatch, states)
 
 
 class TestEvolve:
