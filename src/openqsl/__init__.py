@@ -41,7 +41,6 @@ from .models import (
     DephasingQubitParams,
     ProductModelParams,
     bloch_state,
-    calibrate_emission_decay,
     dephasing_model,
     exact_emission_time,
     product_model_dense,

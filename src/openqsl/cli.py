@@ -2,8 +2,9 @@
 randomized verification harness, all emitted as reproducible CSV/JSON.
 
 Every run writes the requested data file plus a ``<path>.meta.json``
-sidecar echoing the configuration, seed, step size, the calibrated decay
-constant of the damping model, and the library version. Numeric fields are
+sidecar echoing the configuration, seed, step size, the decay constant of
+the damping model (checked against the integrator by
+``tests/test_models.py``), and the library version. Numeric fields are
 serialized with 17 significant digits, so identical inputs give
 byte-identical files.
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -116,14 +116,6 @@ def _write_sidecar(path: str, cfg: ExperimentConfig, seed: int, dt: float | None
         fh.write(_to_json(meta) + "\n")
 
 
-def _map_ordered(fn, items, workers: int):
-    """Apply fn over items, preserving input order regardless of workers."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -150,7 +142,7 @@ def cmd_qsl(cfg: ExperimentConfig, args) -> int:
             bound, lower, status = None, None, "frozen_dynamics"
         return [value, q.delta_h0, q.g_term, q.e_term, q.v_coeff, bound, lower, status]
 
-    rows = _map_ordered(one_row, sweep_values, args.workers)
+    rows = [one_row(value) for value in sweep_values]
     header = ["sweep_value", "delta_h0", "g_term", "e_term", "v_coeff", "t_qsl", "t_lower", "status"]
     path = args.output or cfg.output_path or "qsl." + args.format
     _write_table(path, header, rows, args.format)
@@ -179,7 +171,7 @@ def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
             row.append(qsl.t_qsl(q, theta_target))
         return row
 
-    rows = _map_ordered(one_row, [float(g) for g in gammas], args.workers)
+    rows = [one_row(float(gamma)) for gamma in gammas]
     path = args.output or cfg.output_path or "fig1a." + args.format
     _write_table(path, header, rows, args.format)
     _write_sidecar(path, cfg, args.seed, None)
@@ -333,8 +325,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError, so they exit 1 like any other
+    configuration error; argparse's own exit code 2 is taken by
+    integration-quality failures."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="openqsl",
         description="Speed limits and trajectory verification for Markovian dynamics",
     )
@@ -343,18 +344,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="output file path")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (verify)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--workers", type=int, default=1, help="sweep concurrency")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.format is None:
             args.format = cfg.output_format or "csv"
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

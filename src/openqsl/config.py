@@ -35,6 +35,13 @@ from .models import (
 
 PRESETS = ("dephasing", "emission", "product")
 _MODEL_KEYS = {"preset", "hamiltonian", "lindblad_ops", "psi0"}
+# Every [parameters] key that a command reads; a sweep may vary any of
+# them, or the time grid "t".
+_PARAMETER_KEYS = {
+    "theta_target", "theta", "omega", "gamma", "n",
+    "gamma_min", "gamma_max", "gamma_points",
+    "n_models", "n_fisher_models", "n_scalar_samples",
+}
 _INTEGRATOR_KEYS = {"dt", "horizon"}
 _SWEEP_KEYS = {"name", "values"}
 _OUTPUT_KEYS = {"path", "format"}
@@ -78,8 +85,10 @@ def _parse_complex_array(raw, where: str, expect_vector: bool = False) -> np.nda
     """Nested [re, im] pairs -> complex ndarray (vector or square matrix)."""
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: entries must be numeric [re, im] pairs ({exc})")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where}: entries must be finite")
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ConfigError(f"{where}: expected nested [re, im] pairs, got shape {arr.shape}")
     out = arr[..., 0] + 1j * arr[..., 1]
@@ -94,9 +103,12 @@ def _parse_complex_array(raw, where: str, expect_vector: bool = False) -> np.nda
 
 def _parse_number(text: str, where: str) -> float:
     try:
-        return float(text)
+        num = float(text)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {text!r}")
+    if not math.isfinite(num):
+        raise ConfigError(f"{where}: {text!r} is not finite")
+    return num
 
 
 def _parse_values(text: str, where: str) -> list:
@@ -115,7 +127,7 @@ def _parse_values(text: str, where: str) -> list:
     for v in values:
         try:
             fv = float(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{where}: sweep value {v!r} is not a number")
         if not math.isfinite(fv):
             raise ConfigError(f"{where}: sweep value {v!r} is not finite")
@@ -126,18 +138,18 @@ def _parse_values(text: str, where: str) -> list:
 def _parse_json_field(text: str, where: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{where}: invalid JSON ({exc})")
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a config file; raises ConfigError with the failing
     section and key on any problem."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error in {path!r}: {exc}")
@@ -176,6 +188,8 @@ def load_config(path: str) -> ExperimentConfig:
 
     if parser.has_section("parameters"):
         for key, value in parser.items("parameters"):
+            if key not in _PARAMETER_KEYS:
+                raise ConfigError(f"[parameters] {key}: unknown key")
             cfg.parameters[key] = _parse_number(value, f"[parameters] {key}")
 
     if parser.has_section("integrator"):
@@ -193,6 +207,8 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"[sweep] {key}: unknown key")
             if key == "name":
                 cfg.sweep_name = value.strip()
+                if cfg.sweep_name not in _PARAMETER_KEYS | {"t"}:
+                    raise ConfigError(f"[sweep] name: {cfg.sweep_name!r} is not a parameter or t")
             else:
                 cfg.sweep_values = _parse_values(value, "[sweep] values")
         if cfg.sweep_name and not cfg.sweep_values:
@@ -239,6 +255,11 @@ def build_model(cfg: ExperimentConfig, overrides: dict | None = None):
         except ValueError as exc:
             raise ConfigError(f"[model] hamiltonian/lindblad_ops: {exc}")
         psi0 = np.asarray(cfg.psi0, dtype=complex)
+        if psi0.shape != (model.dim,):
+            raise ConfigError(
+                f"[model] psi0: length {psi0.shape[0]} does not match the "
+                f"hamiltonian dimension {model.dim}"
+            )
         nrm = float(np.linalg.norm(psi0))
         if abs(nrm - 1.0) > 1e-6:
             raise ConfigError(f"[model] psi0: norm {nrm!r} is not 1")

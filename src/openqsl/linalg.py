@@ -12,9 +12,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianError, ResourceLimitError
 
-# Validation tolerances, shared package-wide. Functions that consume them
-# accept overrides, so callers can tighten or relax per use.
+# Validation tolerances, shared package-wide.
 HERM_TOL = 1e-10
+# min_eigenvalue_hermitian symmetrizes its input, so it accepts a looser
+# asymmetry than validate_density_matrix.
+EIG_HERM_TOL = 1e-8
 TRACE_TOL = 1e-10
 POS_TOL = 1e-8
 STATE_NORM_TOL = 1e-12
@@ -51,12 +53,12 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = KRON_DIM_CAP) -> np.ndarray:
-    """Kronecker product, refusing results above the dense-size cap."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product, refusing results above KRON_DIM_CAP."""
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > dim_cap:
+    if out_dim > KRON_DIM_CAP:
         raise ResourceLimitError(
-            f"kron result dimension {out_dim} exceeds dense cap {dim_cap}"
+            f"kron result dimension {out_dim} exceeds dense cap {KRON_DIM_CAP}"
         )
     return np.kron(a, b)
 
@@ -66,30 +68,30 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def min_eigenvalue_hermitian(m: np.ndarray, herm_tol: float = 1e-8) -> float:
+def min_eigenvalue_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of m.
 
-    The input must be Hermitian within ``herm_tol``; the eigenvalue is then
-    computed from (m + m^dag)/2 so that float-level asymmetry cannot leak
-    into the spectrum.
+    The input must be Hermitian within ``EIG_HERM_TOL``; the eigenvalue is
+    then computed from (m + m^dag)/2 so that float-level asymmetry cannot
+    leak into the spectrum.
     """
     dev = hermiticity_deviation(m)
-    if dev > herm_tol:
+    if dev > EIG_HERM_TOL:
         raise NonHermitianError(
-            f"matrix deviates from Hermitian by {dev:.3e} (tol {herm_tol:g})"
+            f"matrix deviates from Hermitian by {dev:.3e} (tol {EIG_HERM_TOL:g})"
         )
     h = 0.5 * (m + m.conj().T)
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def pure_state(amplitudes, norm_tol: float = STATE_NORM_TOL) -> np.ndarray:
+def pure_state(amplitudes) -> np.ndarray:
     """Validate a normalized state vector; returns it as a complex ndarray."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size < 1:
         raise DimensionMismatchError("state vector is empty")
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"state norm {nrm!r} differs from 1 beyond {norm_tol:g}")
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
+        raise ValueError(f"state norm {nrm!r} differs from 1 beyond {STATE_NORM_TOL:g}")
     return psi
 
 
@@ -99,23 +101,18 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def validate_density_matrix(
-    rho,
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    pos_tol: float = POS_TOL,
-) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the array."""
     rho = as_matrix(rho)
     dev = hermiticity_deviation(rho)
-    if dev > herm_tol:
+    if dev > HERM_TOL:
         raise NonHermitianError(
-            f"density matrix deviates from Hermitian by {dev:.3e} (tol {herm_tol:g})"
+            f"density matrix deviates from Hermitian by {dev:.3e} (tol {HERM_TOL:g})"
         )
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {trace_tol:g}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {TRACE_TOL:g}")
     lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lo < -pos_tol:
-        raise ValueError(f"density matrix eigenvalue {lo:.3e} below -{pos_tol:g}")
+    if lo < -POS_TOL:
+        raise ValueError(f"density matrix eigenvalue {lo:.3e} below -{POS_TOL:g}")
     return rho

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import LindbladModel, adjoint_dissipator, evolve
+from .dynamics import LindbladModel, adjoint_dissipator
 from .errors import ResourceLimitError
 from .qsl import QslQuantities
 
@@ -23,9 +23,9 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PRODUCT_DENSE_MAX_QUBITS = 12
 
 # Excited-state population of the damping model decays as
-# exp(-EMISSION_DECAY_PER_GAMMA * gamma * t). The value is pinned by
-# calibrate_emission_decay() against the integrator (see its docstring)
-# and is reported in CLI output metadata.
+# exp(-EMISSION_DECAY_PER_GAMMA * gamma * t). tests/test_models.py fits
+# this rate to an integrated trajectory; the value is reported in CLI
+# output metadata.
 EMISSION_DECAY_PER_GAMMA = 1.0
 
 
@@ -87,21 +87,6 @@ def spontaneous_emission_model(gamma: float) -> tuple[LindbladModel, np.ndarray]
     ops = (math.sqrt(gamma) * SIGMA_MINUS,)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), psi0
-
-
-def calibrate_emission_decay(gamma: float = 1.0, t_end: float = 1.0, dt: float = 1e-4) -> float:
-    """Fit the excited-population decay rate of the damping model, per gamma.
-
-    Runs the integrator and regresses log(population) on time. The fitted
-    rate divided by gamma pins the convention baked into
-    EMISSION_DECAY_PER_GAMMA; a drift from that constant would indicate an
-    integrator or generator regression.
-    """
-    model, psi0 = spontaneous_emission_model(gamma)
-    traj = evolve(model, psi0, t_end, dt)
-    population = np.real(traj.states[:, 0, 0])
-    slope = np.polyfit(traj.times, np.log(population), 1)[0]
-    return float(-slope / gamma)
 
 
 def exact_emission_time(gamma: float, theta_target: float) -> float:

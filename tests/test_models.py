@@ -1,8 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from openqsl.models import ProductModelParams, product_model_dense, product_quantities_analytic
+from openqsl.dynamics import evolve
+from openqsl.models import (
+    EMISSION_DECAY_PER_GAMMA,
+    ProductModelParams,
+    product_model_dense,
+    product_quantities_analytic,
+    spontaneous_emission_model,
+)
 from openqsl.qsl import compute_quantities
 
 FIELDS = ("delta_h0", "g_term", "e_term", "v_coeff", "ratio_r")
@@ -25,3 +33,13 @@ class TestProductChain:
                         assert got is None, field
                     else:
                         assert got == pytest.approx(want, rel=1e-12, abs=0.0), field
+
+
+class TestEmissionDecay:
+    def test_integrated_rate_matches_constant(self):
+        # The excited population of the damping model, integrated at gamma = 1,
+        # decays at the rate EMISSION_DECAY_PER_GAMMA that the CLI reports.
+        traj = evolve(*spontaneous_emission_model(1.0), 1.0, 1e-4)
+        population = np.real(traj.states[:, 0, 0])
+        slope = np.polyfit(traj.times, np.log(population), 1)[0]
+        assert -slope == pytest.approx(EMISSION_DECAY_PER_GAMMA, rel=1e-12, abs=0.0)
