@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, fisher, qsl, verify
-from .config import ExperimentConfig, build_model, load_config
+from .config import PRESET_PARAMETERS, ExperimentConfig, build_model, load_config
 from .dynamics import evolve, first_passage_time
 from .errors import (
     ConfigError,
@@ -314,6 +314,26 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+# The sweep names each command reads besides the model's own parameters,
+# which only qsl sweeps; the other commands read no sweep.
+COMMAND_SWEEPS = {"qsl": ("theta_target",), "scaling": ("n",), "qfi": ("t",)}
+
+
+def _check_sweep(command: str, cfg: ExperimentConfig) -> None:
+    """Reject a sweep over a key that the command never reads; it would
+    write the same row once per value."""
+    if not cfg.sweep_name:
+        return
+    reads = COMMAND_SWEEPS.get(command, ())
+    if command == "qsl" and cfg.hamiltonian is None:
+        reads += PRESET_PARAMETERS[cfg.preset or "emission"]
+    if cfg.sweep_name not in reads:
+        raise ConfigError(
+            f"[sweep] name: {command} does not read {cfg.sweep_name!r}; "
+            + (f"it sweeps {', '.join(reads)}" if reads else "it reads no sweep")
+        )
+
+
 COMMANDS = {
     "qsl": cmd_qsl,
     "fig1a": cmd_fig1a,
@@ -353,6 +373,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.format is None:
             args.format = cfg.output_format or "csv"
+        _check_sweep(args.command, cfg)
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,6 +34,13 @@ from .models import (
 )
 
 PRESETS = ("dephasing", "emission", "product")
+# The [parameters] keys that build_model reads for each preset; an inline
+# model reads none.
+PRESET_PARAMETERS = {
+    "emission": ("gamma",),
+    "dephasing": ("omega", "gamma", "theta"),
+    "product": ("n", "omega", "gamma", "theta"),
+}
 _MODEL_KEYS = {"preset", "hamiltonian", "lindblad_ops", "psi0"}
 # Every [parameters] key that a command reads; a sweep may vary any of
 # them, or the time grid "t".
@@ -231,7 +238,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[model]: give either a preset or inline matrices, not both")
 
     # Inline models must satisfy the generator invariants at load time.
-    if cfg.hamiltonian is not None:
+    if cfg.hamiltonian is not None or cfg.psi0 is not None or cfg.lindblad_ops is not None:
         build_model(cfg)
     return cfg
 
@@ -246,6 +253,8 @@ def build_model(cfg: ExperimentConfig, overrides: dict | None = None):
     if overrides:
         params.update(overrides)
 
+    if cfg.hamiltonian is None and (cfg.psi0 is not None or cfg.lindblad_ops is not None):
+        raise ConfigError("[model] hamiltonian: required when psi0/lindblad_ops is given")
     if cfg.hamiltonian is not None:
         if cfg.psi0 is None:
             raise ConfigError("[model] psi0: required for an inline model")

@@ -318,10 +318,18 @@ def _chunks(states: np.ndarray):
 
 
 def _max_herm_deviation(states: np.ndarray) -> float:
+    """Largest entry of |A - A^H| over every state.
+
+    A NaN or infinite entry makes its own slot of A - A^H non-finite, so the
+    result is non-finite whenever some entry is; the scan stops there.
+    """
     worst = 0.0
     for _, block in _chunks(states):
-        dev = np.abs(block - block.conj().transpose(0, 2, 1)).max()
-        worst = max(worst, float(dev))
+        dev = float(np.abs(block - block.conj().transpose(0, 2, 1)).max())
+        if not dev <= worst:
+            worst = dev
+            if not math.isfinite(worst):
+                break
     return worst
 
 
@@ -368,6 +376,37 @@ def _positivity_certified(states: np.ndarray) -> bool:
     return True
 
 
+def _quality_gate(
+    states: np.ndarray, trace_errors: np.ndarray, times, steps
+) -> tuple[float, float]:
+    """Reject a stack of states that no accurate integration could produce.
+
+    Raises ``IntegrationQualityError`` when a state has a NaN or infinite
+    entry, a trace error exceeds TRACE_DRIFT_LIMIT, or a lowest eigenvalue
+    falls below MIN_EIG_LIMIT. ``times[i]`` and ``steps[i]``, the steps of
+    the run up to state i (fractional for a state between grid points), name
+    the first non-finite state in the message. Returns (trace_drift,
+    herm_drift), the worst trace error and hermiticity deviation.
+    """
+    herm_drift = _max_herm_deviation(states)
+    if not math.isfinite(herm_drift):
+        bad = _first_nonfinite(states)
+        if bad is not None:
+            raise IntegrationQualityError(
+                f"integration quality failure: non-finite state at t = {times[bad]:.6g} "
+                f"(step {steps[bad]:.10g}); retry with a smaller dt"
+            )
+    trace_drift = float(trace_errors.max())
+    if trace_drift > TRACE_DRIFT_LIMIT or not _positivity_certified(states):
+        min_eig = float(_min_eigs(states).min())
+        if trace_drift > TRACE_DRIFT_LIMIT or min_eig < MIN_EIG_LIMIT:
+            raise IntegrationQualityError(
+                f"integration quality failure: trace drift {trace_drift:.3e}, "
+                f"min eigenvalue {min_eig:.3e}; retry with a smaller dt"
+            )
+    return trace_drift, herm_drift
+
+
 def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     """Integrate from the pure state psi0 over [0, t_end] with step ~dt.
 
@@ -379,7 +418,9 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     eigenvalue falls below -1e-5. Positivity is certified by one batched
     Cholesky factorization of every state shifted by just under 1e-5; only
     when that fails are the exact eigvalsh eigenvalues computed, and they
-    decide. The per-state ``min_eigs`` are computed when first read.
+    decide. A diverging run reports that error alone, without numpy's
+    floating-point warnings. The per-state ``min_eigs`` are computed when
+    first read.
     """
     psi0 = linalg.pure_state(psi0)
     if psi0.size != model.dim:
@@ -396,23 +437,11 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
 
-    states, trace_errors, n_renorm = _propagate(model, rho0, n_steps, h)
     times = np.arange(n_steps + 1) * h
-
-    bad = _first_nonfinite(states)
-    if bad is not None:
-        raise IntegrationQualityError(
-            f"integration quality failure: non-finite state at t = {times[bad]:.6g} "
-            f"(step {bad}); retry with a smaller dt"
-        )
-    trace_drift = float(trace_errors.max())
-    if trace_drift > TRACE_DRIFT_LIMIT or not _positivity_certified(states):
-        min_eig = float(_min_eigs(states).min())
-        if trace_drift > TRACE_DRIFT_LIMIT or min_eig < MIN_EIG_LIMIT:
-            raise IntegrationQualityError(
-                f"integration quality failure: trace drift {trace_drift:.3e}, "
-                f"min eigenvalue {min_eig:.3e}; retry with a smaller dt"
-            )
+    # A diverging run overflows on its way to the gate.
+    with np.errstate(all="ignore"):
+        states, trace_errors, n_renorm = _propagate(model, rho0, n_steps, h)
+        trace_drift, herm_drift = _quality_gate(states, trace_errors, times, range(n_steps + 1))
 
     overlaps = np.real(states.reshape(n_steps + 1, -1) @ rho0.reshape(-1).conj())
     # The k=0 overlap is Tr(rho0^2) = 1 exactly for a pure start; pin it so
@@ -426,12 +455,35 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
         bures_angles=angles,
         trace_errors=trace_errors,
         trace_drift=trace_drift,
-        herm_drift=_max_herm_deviation(states),
+        herm_drift=herm_drift,
         renormalizations=n_renorm,
         dt=h,
         model=model,
         rho0=rho0,
     )
+
+
+def _states_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
+    """States of the run at arbitrary times within its span, gated like evolve's.
+
+    The state at t is one RK4 step of the remainder t - times[k] from the
+    last stored state k at or before t (the stored state itself when the
+    remainder is 0). It is rescaled by its trace under the same
+    RENORM_THRESHOLD rule and must pass the same quality gate as a stored
+    state.
+    """
+    ks = np.searchsorted(traj.times, times, "right") - 1
+    taus = times - traj.times[ks]
+    out = np.empty((len(times),) + traj.rho0.shape, dtype=complex)
+    trace_errors = np.empty(len(times))
+    with np.errstate(all="ignore"):
+        for i, (k, tau) in enumerate(zip(ks, taus)):
+            rho = traj.states[k] if tau == 0.0 else _rk4_step(traj.model, traj.states[k], tau)
+            tr = float(np.trace(rho).real)
+            trace_errors[i] = abs(tr - 1.0)
+            out[i] = rho / tr if trace_errors[i] > RENORM_THRESHOLD else rho
+        _quality_gate(out, trace_errors, times, ks + taus / traj.dt)
+    return out
 
 
 def _angle_after_step(model, rho_start, rho0_flat, tau: float) -> float:

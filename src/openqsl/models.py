@@ -156,26 +156,28 @@ def product_quantities_analytic(
     n = p.n
 
     h1 = 0.5 * p.omega * SIGMA_Z
-    hpsi = h1 @ psi1
-    var_h1 = float(np.real(np.vdot(hpsi, hpsi))) - float(np.real(np.vdot(psi1, hpsi))) ** 2
-    delta_h0 = math.sqrt(max(n * var_h1, 0.0))
+    dev = h1 @ psi1
+    dev -= np.real(np.vdot(psi1, dev)) * psi1
+    var_h1 = float(np.real(np.vdot(dev, dev)))
+    delta_h0 = math.sqrt(n * var_h1)
 
     if p.gamma == 0.0:
         return QslQuantities.from_terms(delta_h0, 0.0, 0.0)
 
     l1 = math.sqrt(p.gamma) * SIGMA_X
-    lpsi = l1 @ psi1
-    var_l1 = float(np.real(np.vdot(lpsi, lpsi))) - abs(np.vdot(psi1, lpsi)) ** 2
+    dev = l1 @ psi1
+    dev -= np.vdot(psi1, dev) * psi1
+    var_l1 = float(np.real(np.vdot(dev, dev)))
 
     deformation = adjoint_dissipator(l1, rho1)
     self_overlap = float(np.real(linalg.trace_product(deformation, deformation)))
     cross_overlap = float(np.real(linalg.trace_product(rho1, deformation)))
 
     if single_site:
-        e_term = max(var_l1, 0.0)
+        e_term = var_l1
         g_sq = self_overlap
     else:
-        e_term = n * max(var_l1, 0.0)
+        e_term = n * var_l1
         g_sq = n * self_overlap + n * (n - 1) * cross_overlap**2
     g_term = math.sqrt(max(g_sq, 0.0))
     return QslQuantities.from_terms(delta_h0, g_term, e_term)

@@ -95,21 +95,20 @@ def compute_quantities(model: LindbladModel, psi0) -> QslQuantities:
     """Evaluate all speed-limit scalars from their definitions."""
     psi0 = linalg.pure_state(psi0)
     h = model.hamiltonian
-    hpsi = h @ psi0
-    mean_h = float(np.real(np.vdot(psi0, hpsi)))
-    var_h = float(np.real(np.vdot(hpsi, hpsi))) - mean_h**2
-    if var_h < -1e-12:
-        raise ValueError(f"energy variance {var_h:.3e} is negative beyond tolerance")
-    delta_h0 = math.sqrt(max(var_h, 0.0))
+    # Each variance is ||(A - <A>) psi||^2, which cannot cancel to rounding
+    # noise the way <A^dag A> - |<A>|^2 does when psi is nearly an eigenstate.
+    dev = h @ psi0
+    dev -= np.real(np.vdot(psi0, dev)) * psi0
+    delta_h0 = math.sqrt(float(np.real(np.vdot(dev, dev))))
 
     rho0 = linalg.projector(psi0)
     deformation = np.zeros_like(rho0)
     e_term = 0.0
     for op in model.lindblad_ops:
         deformation += adjoint_dissipator(op, rho0)
-        lpsi = op @ psi0
-        var_l = float(np.real(np.vdot(lpsi, lpsi))) - abs(np.vdot(psi0, lpsi)) ** 2
-        e_term += max(var_l, 0.0)
+        dev = op @ psi0
+        dev -= np.vdot(psi0, dev) * psi0
+        e_term += float(np.real(np.vdot(dev, dev)))
     g_term = linalg.frobenius_norm(deformation)
     return QslQuantities.from_terms(delta_h0, g_term, e_term)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from openqsl import cli, verify
@@ -50,15 +52,53 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: [")
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_integration_exits_two(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             "[model]\npreset = dephasing\n[parameters]\ngamma = 100\n"
             "[integrator]\ndt = 0.1\nhorizon = 1\n",
         )
-        assert run(tmp_path, "evolve", "--config", config) == 2
-        assert "non-finite" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "evolve", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("integration error: ") and "non-finite" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, sweep",
+        [
+            ("qsl", "name = n\nvalues = 1, 2, 3"),
+            ("qsl", "name = omega\nvalues = 1, 2"),
+            ("qsl", "name = t\nvalues = 0.1, 0.2"),
+            ("scaling", "name = gamma\nvalues = 1, 2"),
+            ("qfi", "name = gamma\nvalues = 1, 2"),
+            ("fig1a", "name = gamma\nvalues = 1, 2"),
+            ("evolve", "name = t\nvalues = 0.1, 0.2"),
+        ],
+    )
+    def test_sweep_the_command_never_reads_exits_one(self, tmp_path, capsys, command, sweep):
+        # emission, the default preset, reads gamma only
+        config = write_config(tmp_path, f"[sweep]\n{sweep}\n")
+        assert run(tmp_path, command, "--config", config) == 1
+        assert capsys.readouterr().err.startswith(f"config error: [sweep] name: {command} ")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("qsl", "[model]\npreset = dephasing\n[sweep]\nname = gamma\nvalues = 1, 2"),
+            ("qsl", "[model]\npreset = product\n[sweep]\nname = n\nvalues = 1, 2"),
+            ("qsl", "[sweep]\nname = gamma\nvalues = 1, 2"),
+            ("qsl", "[sweep]\nname = theta_target\nvalues = 0.5, 0.6"),
+            ("scaling", "[sweep]\nname = n\nvalues = 16, 32, 64"),
+            ("qfi", "[sweep]\nname = t\nvalues = 0.001, 0.002"),
+        ],
+    )
+    def test_sweep_the_command_reads_gives_distinct_rows(self, tmp_path, command, text):
+        assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 0
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert len(set(row.split(",", 1)[1] for row in rows)) == len(rows)
 
     def test_property_violation_exits_three(self, tmp_path, monkeypatch):
         failing = PropertyResult("stub")

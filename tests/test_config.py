@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openqsl.config import ExperimentConfig, load_config
+from openqsl import cli
+from openqsl.config import ExperimentConfig, build_model, load_config
 from openqsl.errors import ConfigError
 
 # Parses as a JSON integer but overflows a float.
@@ -38,6 +40,9 @@ class TestErrorsNameTheirKey:
             ("[model]\nhamiltonian = [[[1, 0]]]\n", "[model] psi0:"),
             ("[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, 0], [0, 0]]\n", "[model] psi0:"),
             ("[model]\nhamiltonian = [[[NaN, 0]]]\npsi0 = [[1, 0]]\n", "[model] hamiltonian:"),
+            ("[model]\npsi0 = [[0, 0], [1, 0]]\n", "[model] hamiltonian:"),
+            ("[model]\nlindblad_ops = [[[[1, 0]]]]\n", "[model] hamiltonian:"),
+            ("[model]\npreset = dephasing\npsi0 = [[0, 0], [1, 0]]\n", "[model] hamiltonian:"),
             pytest.param(
                 f"[model]\nhamiltonian = [[[{BIG_INT}, 0]]]\npsi0 = [[1, 0]]\n",
                 "[model] hamiltonian:",
@@ -59,6 +64,22 @@ class TestErrorsNameTheirKey:
         with pytest.raises(ConfigError) as exc:
             load(tmp_path, text)
         assert str(exc.value).startswith(where)
+
+    def test_psi0_without_hamiltonian_exits_one(self, tmp_path, capsys):
+        # it used to be dropped silently: the emission preset's row, exit 0
+        path = tmp_path / "experiment.ini"
+        path.write_text("[model]\npsi0 = [[0, 0], [1, 0]]\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert cli.main(["qsl", "--config", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [model] hamiltonian: required when psi0/lindblad_ops is given\n"
+        )
+        assert not out.exists()
+
+    def test_build_model_rejects_psi0_without_hamiltonian(self):
+        cfg = ExperimentConfig(psi0=np.array([0.0, 1.0], dtype=complex))
+        with pytest.raises(ConfigError, match=r"^\[model\] hamiltonian: required"):
+            build_model(cfg)
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "experiment.ini"

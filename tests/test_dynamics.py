@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ from openqsl.models import (
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Z,
+    DephasingQubitParams,
+    dephasing_model,
     spontaneous_emission_model,
 )
 
@@ -424,6 +428,17 @@ class TestPositivityGate:
             with pytest.raises(IntegrationQualityError, match="non-finite state at t = 0.2 "):
                 evolve(model, np.array([1.0, 1.0]) / np.sqrt(2.0), 1.0, 0.2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 2), (2, 0)])
+    def test_herm_drift_is_non_finite_with_any_non_finite_entry(self, rng, bad, where):
+        # the finiteness check reads the hermiticity pass: a non-finite entry,
+        # diagonal or not, must make that pass non-finite
+        states = np.array([_rotated_states(rng, 3, 0.01) for _ in range(4)])
+        assert np.isfinite(dynamics._max_herm_deviation(states))
+        states[2][where] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(dynamics._max_herm_deviation(states))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_entry_anywhere_rejected(self, rng, monkeypatch, bad):
         # eigvalsh and Cholesky read only the lower triangle; the finiteness
@@ -505,6 +520,15 @@ class TestEvolve:
         model, psi0 = spontaneous_emission_model(1.0)
         with pytest.raises(IntegrationQualityError):
             evolve(model, psi0, 40.0, 4.0)
+
+    def test_diverging_run_raises_only_the_typed_error(self):
+        # the step puts the dephasing mode far outside the RK4 stability
+        # region; the overflow on the way must not surface as a warning
+        model, psi0 = dephasing_model(DephasingQubitParams(omega=1.0, gamma=100.0, theta=np.pi / 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationQualityError, match="non-finite state"):
+                evolve(model, psi0, 1.0, 0.1)
 
     def test_renormalization_counter_stays_quiet(self):
         model, psi0 = spontaneous_emission_model(1.0)

@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from openqsl import fisher, qsl
+from openqsl import dynamics, fisher, linalg, qsl, verify
+from openqsl.dynamics import evolve
+from openqsl.errors import IntegrationQualityError
 from openqsl.models import spontaneous_emission_model
 from openqsl.qsl import QslQuantities
 
@@ -90,3 +93,87 @@ class TestVerifyFisherTradeoff:
         model, psi0 = spontaneous_emission_model(1.0)
         with pytest.raises(ValueError):
             fisher.verify_fisher_tradeoff(model, psi0, grid, 1e-3)
+
+
+class TestOneTrajectory:
+    # grid times on the step lattice, off it, and below the step
+    GRID = (4e-4, 1e-3, 2.7e-3, 1e-2, 3.16e-2, 0.1, 0.137)
+    DT = 1e-3
+
+    def test_one_evolve_call_per_check(self, monkeypatch):
+        calls = []
+        original = fisher.evolve
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fisher, "evolve", counting)
+        rng = np.random.default_rng(5)
+        for dim in (2, 3, 4):
+            model, psi0 = verify.random_model(rng, dim)
+            fisher.verify_fisher_tradeoff(model, psi0, self.GRID, self.DT)
+            assert len(calls) == 1
+            assert calls.pop()[2:] == (0.137, self.DT)
+
+    def test_matches_one_evolve_per_point(self):
+        rng = np.random.default_rng(11)
+        for index in range(24):
+            model, psi0 = verify.random_model(rng, 2 + index % 3)
+            reports = fisher.verify_fisher_tradeoff(model, psi0, self.GRID, self.DT)
+            rho0 = linalg.projector(psi0)
+            for t, r in zip(self.GRID, reports):
+                traj = evolve(model, psi0, t, min(self.DT, t))
+                fid = min(max(float(np.real(linalg.trace_product(rho0, traj.states[-1]))), 0.0), 1.0)
+                assert r.horizon_t == t
+                assert abs(r.fidelity_at_t - fid) <= 1e-13
+                assert r.qfi_estimate == pytest.approx(
+                    fisher.qfi_short_time(fid, t), rel=1e-8, abs=0.0
+                )
+
+    def test_stored_times_are_read_exactly(self, rng):
+        model, psi0 = verify.random_model(rng, 3)
+        traj = evolve(model, psi0, 0.1, 1e-3)
+        times = traj.times[[0, 7, 100]]
+        assert dynamics._states_at(traj, times).tobytes() == traj.states[[0, 7, 100]].tobytes()
+        off = np.array([traj.times[7] + 0.25 * traj.dt])
+        want = dynamics._rk4_step(model, traj.states[7], off[0] - traj.times[7])
+        np.testing.assert_array_equal(dynamics._states_at(traj, off)[0], want)
+
+    def test_drifting_sample_is_rescaled(self, rng, monkeypatch):
+        model, psi0 = verify.random_model(rng, 3)
+        traj = evolve(model, psi0, 0.1, 1e-3)
+        original = dynamics._rk4_step
+        monkeypatch.setattr(
+            dynamics, "_rk4_step", lambda model, rho, h: (1.0 + 1e-9) * original(model, rho, h)
+        )
+        off = np.array([traj.times[7] + 0.25 * traj.dt])
+        want = dynamics._rk4_step(model, traj.states[7], off[0] - traj.times[7])
+        got = dynamics._states_at(traj, off)[0]
+        np.testing.assert_allclose(got, want / np.trace(want).real, rtol=0.0, atol=1e-16)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda rho: np.full_like(rho, np.nan), r"non-finite state at t = 0\.0027 \(step 2\.7\)"),
+            (lambda rho: (1.0 + 2e-6) * rho, r"trace drift 2\.000e-06, min eigenvalue -?\d"),
+            (
+                lambda rho: np.diag([1.0 + 1e-4, -1e-4]).astype(complex),
+                r"trace drift \d\.\d{3}e[+-]\d\d, min eigenvalue -1\.000e-04",
+            ),
+        ],
+    )
+    def test_failing_sample_raises_the_gate_error(self, monkeypatch, fault, message):
+        # the trajectory itself takes the superoperator path and passes; only
+        # the partial step to the off-lattice time 2.7e-3 goes wrong
+        original = dynamics._rk4_step
+        monkeypatch.setattr(
+            dynamics, "_rk4_step", lambda model, rho, h: fault(original(model, rho, h))
+        )
+        model, psi0 = spontaneous_emission_model(1.0)
+        with pytest.raises(IntegrationQualityError) as info:
+            fisher.verify_fisher_tradeoff(model, psi0, (1e-3, 2.7e-3, 1e-2), self.DT)
+        assert re.fullmatch(
+            rf"integration quality failure: .*{message}.*; retry with a smaller dt",
+            str(info.value),
+        )
