@@ -21,7 +21,13 @@ import sys
 import numpy as np
 
 from . import __version__, fisher, qsl, verify
-from .config import PRESET_PARAMETERS, ExperimentConfig, build_model, load_config
+from .config import (
+    PRESET_DEFAULTS,
+    ExperimentConfig,
+    build_model,
+    load_config,
+    sweep_quantities,
+)
 from .dynamics import evolve, first_passage_time
 from .errors import (
     ConfigError,
@@ -122,18 +128,14 @@ def _write_sidecar(path: str, cfg: ExperimentConfig, seed: int, dt: float | None
 
 def cmd_qsl(cfg: ExperimentConfig, args) -> int:
     theta_target = cfg.param("theta_target", math.pi / 4)
-    if cfg.sweep_name:
-        sweep_values = list(cfg.sweep_values)
-        sweep_key = cfg.sweep_name
-    else:
-        sweep_values = [theta_target]
-        sweep_key = "theta_target"
+    sweep_key = cfg.sweep_name or "theta_target"
+    sweep_values = cfg.sweep() if cfg.sweep_name else [theta_target]
+    quantities = sweep_quantities(cfg)
 
     def one_row(value: float):
-        target = value if sweep_key == "theta_target" else theta_target
-        overrides = {} if sweep_key == "theta_target" else {sweep_key: value}
-        model, psi0 = build_model(cfg, overrides)
-        q = qsl.compute_quantities(model, psi0)
+        overrides = {sweep_key: value}
+        target = overrides.get("theta_target", theta_target)
+        q = quantities(overrides)
         try:
             bound = qsl.t_qsl(q, target)
             lower = qsl.qsl_lower_bound(q, target)
@@ -157,28 +159,25 @@ def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
         math.log10(cfg.param("gamma_min", 1e-3)),
         math.log10(cfg.param("gamma_max", 1e4)),
         int(cfg.param("gamma_points", 57)),
-    )
+    ).tolist()
     header = ["gamma"] + [f"t_qsl_omega_{om:g}" for om in FIG1A_OMEGAS]
 
-    def one_row(gamma: float):
-        row = [gamma]
-        for omega in FIG1A_OMEGAS:
-            model, psi0 = build_model(
-                ExperimentConfig(preset="dephasing"),
-                {"omega": omega, "gamma": gamma, "theta": theta},
-            )
-            q = qsl.compute_quantities(model, psi0)
-            row.append(qsl.t_qsl(q, theta_target))
-        return row
+    # One gamma sweep of the dephasing preset per curve.
+    columns = []
+    for omega in FIG1A_OMEGAS:
+        quantities = sweep_quantities(
+            ExperimentConfig(preset="dephasing", parameters={"omega": omega, "theta": theta})
+        )
+        columns.append([qsl.t_qsl(quantities({"gamma": gamma}), theta_target) for gamma in gammas])
 
-    rows = [one_row(float(gamma)) for gamma in gammas]
+    rows = [[gamma, *times] for gamma, times in zip(gammas, zip(*columns))]
     path = args.output or cfg.output_path or "fig1a." + args.format
     _write_table(path, header, rows, args.format)
     _write_sidecar(path, cfg, args.seed, None)
     return 0
 
 
-def _fig1b_targets(cfg: ExperimentConfig) -> list:
+def _fig1b_targets() -> list:
     cap = math.pi / 2 - 0.01
     grid = [round(0.05 * k, 10) for k in range(1, 32)]
     grid.append(math.pi / 4)
@@ -187,16 +186,19 @@ def _fig1b_targets(cfg: ExperimentConfig) -> list:
 
 def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
     gamma = cfg.param("gamma", 1.0)
+    try:
+        model, psi0 = spontaneous_emission_model(gamma)
+    except ValueError as exc:
+        raise ConfigError(f"[parameters]: {exc}")
     # All damping-model times scale as 1/gamma; stepping in scaled time
     # keeps the grid resolution identical across gamma values.
     dt = (cfg.dt or 1e-4) / gamma
     horizon = (cfg.horizon or 10.0) / gamma
-    model, psi0 = spontaneous_emission_model(gamma)
     q = qsl.compute_quantities(model, psi0)
     traj = evolve(model, psi0, horizon, dt)
 
     rows = []
-    for target in _fig1b_targets(cfg):
+    for target in _fig1b_targets():
         try:
             t_fp = first_passage_time(traj, target)
         except UnreachableTargetError:
@@ -217,18 +219,18 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
     theta = cfg.param("theta", math.pi / 4)
     theta_target = cfg.param("theta_target", math.pi / 4)
     n_values = (
-        [int(v) for v in cfg.sweep_values]
-        if cfg.sweep_name == "n"
-        else [64, 128, 256, 512, 1024]
+        [int(v) for v in cfg.sweep()] if cfg.sweep_name == "n" else [64, 128, 256, 512, 1024]
     )
 
-    samples = []
-    for n in n_values:
-        q = product_quantities_analytic(
-            ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta)
-        )
-        samples.append((n, qsl.t_qsl(q, theta_target)))
-    exponent = scaling_exponent(samples)
+    try:
+        chains = [ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta) for n in n_values]
+    except ValueError as exc:
+        raise ConfigError(f"[parameters]: {exc}")
+    samples = [(p.n, qsl.t_qsl(product_quantities_analytic(p), theta_target)) for p in chains]
+    try:
+        exponent = scaling_exponent(samples)
+    except ValueError as exc:
+        raise ConfigError(f"[sweep] values: {exc}")
 
     rows = [[n, t] for n, t in samples]
     rows.append(["exponent", exponent])
@@ -276,7 +278,10 @@ def cmd_qfi(cfg: ExperimentConfig, args) -> int:
     q = qsl.compute_quantities(model, psi0)
     window = fisher.short_time_window(q)
     if cfg.sweep_name == "t":
-        t_grid = [float(v) for v in cfg.sweep_values]
+        try:
+            t_grid = fisher.time_grid(cfg.sweep())
+        except ValueError as exc:
+            raise ConfigError(f"[sweep] values: {exc}")
     else:
         t_grid = list(np.logspace(-3, math.log10(0.04), 9))
     dt = cfg.dt or 1e-5
@@ -326,7 +331,7 @@ def _check_sweep(command: str, cfg: ExperimentConfig) -> None:
         return
     reads = COMMAND_SWEEPS.get(command, ())
     if command == "qsl" and cfg.hamiltonian is None:
-        reads += PRESET_PARAMETERS[cfg.preset or "emission"]
+        reads += tuple(PRESET_DEFAULTS[cfg.preset or "emission"])
     if cfg.sweep_name not in reads:
         raise ConfigError(
             f"[sweep] name: {command} does not read {cfg.sweep_name!r}; "

@@ -12,6 +12,8 @@ A config file has up to five sections::
 
 Inline matrices are validated at load time: a non-Hermitian Hamiltonian or
 a denormalized state vector is rejected here, naming the offending field.
+A [parameters] or sweep value is checked against its key's domain when a
+command reads it, and a model parameter by its preset.
 """
 
 from __future__ import annotations
@@ -32,14 +34,15 @@ from .models import (
     product_model_dense,
     spontaneous_emission_model,
 )
+from .qsl import QslQuantities, compute_quantities
 
 PRESETS = ("dephasing", "emission", "product")
-# The [parameters] keys that build_model reads for each preset; an inline
-# model reads none.
-PRESET_PARAMETERS = {
-    "emission": ("gamma",),
-    "dephasing": ("omega", "gamma", "theta"),
-    "product": ("n", "omega", "gamma", "theta"),
+# The [parameters] keys that build_model reads for each preset, with their
+# defaults; an inline model reads none.
+PRESET_DEFAULTS = {
+    "emission": {"gamma": 1.0},
+    "dephasing": {"omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
+    "product": {"n": 3, "omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
 }
 _MODEL_KEYS = {"preset", "hamiltonian", "lindblad_ops", "psi0"}
 # Every [parameters] key that a command reads; a sweep may vary any of
@@ -48,6 +51,21 @@ _PARAMETER_KEYS = {
     "theta_target", "theta", "omega", "gamma", "n",
     "gamma_min", "gamma_max", "gamma_points",
     "n_models", "n_fisher_models", "n_scalar_samples",
+}
+# What the commands require of the [parameters] keys they read directly, and
+# of sweep values over those keys; the model parameters (omega, gamma, theta
+# and n >= 1) are checked by their preset when a model is built.
+_POSITIVE = ("positive", lambda v: v > 0.0)
+_COUNT = ("a nonnegative integer", lambda v: v >= 0.0 and v == int(v))
+_DOMAINS = {
+    "theta_target": ("in (0, pi/2]", lambda v: 0.0 < v <= math.pi / 2),
+    "gamma_min": _POSITIVE,
+    "gamma_max": _POSITIVE,
+    "gamma_points": ("a positive integer", lambda v: v >= 1.0 and v == int(v)),
+    "n": ("an integer", lambda v: v == int(v)),
+    "n_models": _COUNT,
+    "n_fisher_models": _COUNT,
+    "n_scalar_samples": _COUNT,
 }
 _INTEGRATOR_KEYS = {"dt", "horizon"}
 _SWEEP_KEYS = {"name", "values"}
@@ -71,7 +89,22 @@ class ExperimentConfig:
     output_format: str | None = None
 
     def param(self, key: str, default: float) -> float:
-        return float(self.parameters.get(key, default))
+        """The [parameters] value of ``key``, or ``default``, checked against
+        the key's domain."""
+        value = float(self.parameters.get(key, default))
+        problem = _domain_problem(key, value)
+        if problem:
+            raise ConfigError(f"[parameters] {key}: {problem}")
+        return value
+
+    def sweep(self) -> list:
+        """The [sweep] values, each checked against the domain of the key
+        they vary."""
+        for value in self.sweep_values:
+            problem = _domain_problem(self.sweep_name, value)
+            if problem:
+                raise ConfigError(f"[sweep] values: {self.sweep_name} {problem}")
+        return list(self.sweep_values)
 
     def echo(self) -> dict:
         """JSON-serializable snapshot for the output metadata sidecar."""
@@ -86,6 +119,13 @@ class ExperimentConfig:
             "inline_model": self.hamiltonian is not None,
         }
         return out
+
+
+def _domain_problem(key: str, value: float) -> str | None:
+    rule = _DOMAINS.get(key)
+    if rule is None or rule[1](value):
+        return None
+    return f"must be {rule[0]}, got {value!r}"
 
 
 def _parse_complex_array(raw, where: str, expect_vector: bool = False) -> np.ndarray:
@@ -243,16 +283,40 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+def _preset_params(cfg: ExperimentConfig, overrides: dict | None) -> dict:
+    """The [parameters] that cfg's preset reads, with ``overrides``
+    substituted and checked by the preset's own rules; an inline model
+    reads none."""
+    if cfg.hamiltonian is not None:
+        return {}
+    preset = cfg.preset or "emission"
+    if preset not in PRESET_DEFAULTS:
+        raise ConfigError(f"[model] preset: unknown preset {preset!r}")
+    overrides = overrides or {}
+    params = {
+        key: overrides[key] if key in overrides else cfg.param(key, default)
+        for key, default in PRESET_DEFAULTS[preset].items()
+    }
+    try:
+        if preset == "emission":
+            if params["gamma"] <= 0.0:
+                raise ValueError("gamma must be positive")
+        elif preset == "dephasing":
+            DephasingQubitParams(**params)
+        else:
+            ProductModelParams(**params)
+            params["n"] = int(params["n"])
+    except ValueError as exc:
+        raise ConfigError(f"[parameters]: {exc}")
+    return params
+
+
 def build_model(cfg: ExperimentConfig, overrides: dict | None = None):
     """Construct (LindbladModel, psi0) from a preset or inline matrices.
 
     ``overrides`` substitutes parameter values (used by sweeps) without
     mutating the config.
     """
-    params = dict(cfg.parameters)
-    if overrides:
-        params.update(overrides)
-
     if cfg.hamiltonian is None and (cfg.psi0 is not None or cfg.lindblad_ops is not None):
         raise ConfigError("[model] hamiltonian: required when psi0/lindblad_ops is given")
     if cfg.hamiltonian is not None:
@@ -274,27 +338,39 @@ def build_model(cfg: ExperimentConfig, overrides: dict | None = None):
             raise ConfigError(f"[model] psi0: norm {nrm!r} is not 1")
         return model, psi0 / nrm
 
+    params = _preset_params(cfg, overrides)
     preset = cfg.preset or "emission"
+    if preset == "emission":
+        return spontaneous_emission_model(**params)
+    if preset == "dephasing":
+        return dephasing_model(DephasingQubitParams(**params))
     try:
-        if preset == "emission":
-            return spontaneous_emission_model(gamma=params.get("gamma", 1.0))
-        if preset == "dephasing":
-            return dephasing_model(
-                DephasingQubitParams(
-                    omega=params.get("omega", 1.0),
-                    gamma=params.get("gamma", 1.0),
-                    theta=params.get("theta", math.pi / 4),
-                )
-            )
-        if preset == "product":
-            return product_model_dense(
-                ProductModelParams(
-                    n=int(params.get("n", 3)),
-                    omega=params.get("omega", 1.0),
-                    gamma=params.get("gamma", 1.0),
-                    theta=params.get("theta", math.pi / 4),
-                )
-            )
-    except ValueError as exc:
+        return product_model_dense(ProductModelParams(**params))
+    except ValueError as exc:  # the dense size cap
         raise ConfigError(f"[parameters]: {exc}")
-    raise ConfigError(f"[model] preset: unknown preset {preset!r}")
+
+
+def sweep_quantities(cfg: ExperimentConfig):
+    """Return ``quantities(overrides)``, the speed-limit quantities of
+    ``build_model(cfg, overrides)``, for the rows of a sweep.
+
+    delta_h0 is linear in omega, and g_term and e_term are linear in gamma,
+    since every jump operator is sqrt(gamma) times a unit one. So
+    ``compute_quantities`` runs once per unit-rate model (omega = gamma = 1
+    and the call's other parameters) and each call scales its terms by its
+    own rates. An inline model, and the emission preset's omega, take a
+    factor of 1. Every call checks its parameters as build_model does.
+    """
+    unit = {}
+
+    def quantities(overrides: dict) -> QslQuantities:
+        params = _preset_params(cfg, overrides)
+        omega, gamma = params.pop("omega", 1.0), params.pop("gamma", 1.0)
+        key = tuple(params.items())
+        if key not in unit:
+            model, psi0 = build_model(cfg, {**params, "omega": 1.0, "gamma": 1.0})
+            unit[key] = compute_quantities(model, psi0)
+        q = unit[key]
+        return QslQuantities.from_terms(omega * q.delta_h0, gamma * q.g_term, gamma * q.e_term)
+
+    return quantities

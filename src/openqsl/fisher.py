@@ -78,6 +78,17 @@ def _satisfied(estimate: float, bound: float) -> bool:
     return estimate <= bound + QFI_SATISFIED_RTOL * max(1.0, bound)
 
 
+def time_grid(t_grid) -> list[float]:
+    """t_grid as floats; raises ValueError unless it is nonempty, positive
+    and strictly increasing."""
+    t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise ValueError("t_grid is empty")
+    if any(t <= 0.0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("t_grid must be positive and strictly increasing")
+    return t_grid
+
+
 def verify_fisher_tradeoff(
     model: LindbladModel, psi0, t_grid, dt: float
 ) -> list[FisherReport]:
@@ -91,14 +102,7 @@ def verify_fisher_tradeoff(
     evaluated; the estimate simply stops being a Fisher-information reading
     there.
     """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid:
-        raise ValueError("t_grid is empty")
-    if any(t <= 0.0 for t in t_grid) or any(
-        b <= a for a, b in zip(t_grid, t_grid[1:])
-    ):
-        raise ValueError("t_grid must be positive and strictly increasing")
-
+    t_grid = time_grid(t_grid)
     q = compute_quantities(model, psi0)
     rho0 = linalg.projector(linalg.pure_state(psi0))
     traj = evolve(model, psi0, t_grid[-1], min(dt, t_grid[-1]))

@@ -124,6 +124,24 @@ class TestComputeQuantities:
         assert q.e_term == pytest.approx(e_sum, abs=1e-12)
         assert q.g_term == pytest.approx(linalg.frobenius_norm(deformation), abs=1e-12)
 
+    @pytest.mark.parametrize("n_ops", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_linear_in_omega_and_gamma(self, dim, n_ops):
+        # the CLI sweeps scale unit-rate quantities by these factors
+        rng = np.random.default_rng([dim, n_ops])
+        h = random_hermitian(rng, dim)
+        ops = tuple(random_complex_matrix(rng, dim) for _ in range(n_ops))
+        psi = random_state(rng, dim)
+        unit = qsl.compute_quantities(LindbladModel(h, ops), psi)
+        for omega, gamma in 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 2)):
+            model = LindbladModel(omega * h, tuple(math.sqrt(gamma) * op for op in ops))
+            q = qsl.compute_quantities(model, psi)
+            assert (q.delta_h0, q.g_term, q.e_term) == (
+                pytest.approx(omega * unit.delta_h0, rel=1e-13, abs=0.0),
+                pytest.approx(gamma * unit.g_term, rel=1e-13, abs=0.0),
+                pytest.approx(gamma * unit.e_term, rel=1e-13, abs=0.0),
+            )
+
     def test_ratio_defined_only_with_fluctuation(self):
         closed = LindbladModel(hamiltonian=SIGMA_X)
         q = qsl.compute_quantities(closed, np.array([1, 0], dtype=complex))
