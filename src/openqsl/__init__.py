@@ -31,11 +31,9 @@ from .linalg import (
     commutator,
     frobenius_norm,
     kron,
-    min_eigenvalue_hermitian,
     projector,
     pure_state,
     trace_product,
-    validate_density_matrix,
 )
 from .models import (
     DephasingQubitParams,
@@ -49,11 +47,8 @@ from .models import (
     spontaneous_emission_model,
 )
 from .qsl import (
-    BoundReport,
     QslQuantities,
-    bures_angle,
     compute_quantities,
-    evaluate_bound,
     f_ratio,
     qsl_lower_bound,
     t_qsl,

@@ -8,8 +8,9 @@ the damping model (checked against the integrator by
 serialized with 17 significant digits, so identical inputs give
 byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 integration-quality
-failure, 3 property violation (verify only).
+Exit codes: 0 success, 1 configuration error (a trajectory over the
+memory budget included), 2 integration-quality failure, 3 property
+violation (verify only).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     ConfigError,
     FrozenDynamicsError,
     IntegrationQualityError,
+    ResourceLimitError,
     UnreachableTargetError,
 )
 from .models import (
@@ -224,9 +226,9 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
 
     try:
         chains = [ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta) for n in n_values]
-    except ValueError as exc:
+        samples = [(p.n, qsl.t_qsl(product_quantities_analytic(p), theta_target)) for p in chains]
+    except ValueError as exc:  # a parameter out of range, or a frozen chain
         raise ConfigError(f"[parameters]: {exc}")
-    samples = [(p.n, qsl.t_qsl(product_quantities_analytic(p), theta_target)) for p in chains]
     try:
         exponent = scaling_exponent(samples)
     except ValueError as exc:
@@ -380,7 +382,7 @@ def main(argv=None) -> int:
             args.format = cfg.output_format or "csv"
         _check_sweep(args.command, cfg)
         return COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, ResourceLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except IntegrationQualityError as exc:

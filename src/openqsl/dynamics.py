@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     IntegrationQualityError,
     NonHermitianError,
+    ResourceLimitError,
     SingularPointError,
     UnreachableTargetError,
 )
@@ -48,6 +49,9 @@ BLOCK_STEPS = {
 BLOCK_MIN_STEPS = 32
 # Cap on the entries B d^4 of the stacked propagator powers (16 MiB).
 POWER_ENTRY_CAP = 2**20
+# Cap on the bytes of a trajectory's stored states, (n + 1) d^2 complex
+# entries (1 GiB), checked before they are allocated.
+TRAJECTORY_BYTE_CAP = 2**30
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -415,7 +419,9 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     every grid point. The run is rejected with ``IntegrationQualityError``,
     which indicates the step is too coarse for the generator, when a state
     has a NaN or infinite entry, the trace drift exceeds 1e-6, or an
-    eigenvalue falls below -1e-5. Positivity is certified by one batched
+    eigenvalue falls below -1e-5. A run whose states would take more than
+    ``TRAJECTORY_BYTE_CAP`` bytes raises ``ResourceLimitError`` before
+    anything is integrated. Positivity is certified by one batched
     Cholesky factorization of every state shifted by just under 1e-5; only
     when that fails are the exact eigvalsh eigenvalues computed, and they
     decide. A diverging run reports that error alone, without numpy's
@@ -436,6 +442,12 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     rho0 = linalg.projector(psi0)
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
+    n_bytes = (n_steps + 1) * model.dim**2 * np.dtype(complex).itemsize
+    if n_bytes > TRAJECTORY_BYTE_CAP:
+        raise ResourceLimitError(
+            f"trajectory of {n_steps} steps at d = {model.dim} needs {n_bytes} bytes "
+            f"of states, over the {TRAJECTORY_BYTE_CAP}-byte cap; raise dt or shorten t_end"
+        )
 
     times = np.arange(n_steps + 1) * h
     # A diverging run overflows on its way to the gate.

@@ -1,24 +1,21 @@
 """Dense complex matrix kernels used by every other module.
 
 Operators and states are plain numpy arrays: small dense complex square
-matrices (dim <= 4096) and state vectors. There is deliberately no sparse
-path and no general-purpose decomposition layer; the handful of exact
-operations below is the whole kernel surface.
+matrices (dim <= 4096) and state vectors. The kernel surface is input
+coercion and checks (``as_matrix``, ``pure_state``, shape agreement,
+``hermiticity_deviation``), the products the generator and the bound are
+built from (``commutator``, ``trace_product``, ``kron`` under
+``KRON_DIM_CAP``, ``projector``) and ``frobenius_norm``. There is
+deliberately no sparse path and no decomposition layer: positivity of
+integrated states is checked in ``dynamics``, where the states are.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError, ResourceLimitError
+from .errors import DimensionMismatchError, ResourceLimitError
 
-# Validation tolerances, shared package-wide.
-HERM_TOL = 1e-10
-# min_eigenvalue_hermitian symmetrizes its input, so it accepts a looser
-# asymmetry than validate_density_matrix.
-EIG_HERM_TOL = 1e-8
-TRACE_TOL = 1e-10
-POS_TOL = 1e-8
 STATE_NORM_TOL = 1e-12
 KRON_DIM_CAP = 4096
 
@@ -68,22 +65,6 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def min_eigenvalue_hermitian(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of m.
-
-    The input must be Hermitian within ``EIG_HERM_TOL``; the eigenvalue is
-    then computed from (m + m^dag)/2 so that float-level asymmetry cannot
-    leak into the spectrum.
-    """
-    dev = hermiticity_deviation(m)
-    if dev > EIG_HERM_TOL:
-        raise NonHermitianError(
-            f"matrix deviates from Hermitian by {dev:.3e} (tol {EIG_HERM_TOL:g})"
-        )
-    h = 0.5 * (m + m.conj().T)
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 def pure_state(amplitudes) -> np.ndarray:
     """Validate a normalized state vector; returns it as a complex ndarray."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -99,20 +80,3 @@ def projector(psi: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |psi><psi|."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     return np.outer(psi, psi.conj())
-
-
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the array."""
-    rho = as_matrix(rho)
-    dev = hermiticity_deviation(rho)
-    if dev > HERM_TOL:
-        raise NonHermitianError(
-            f"density matrix deviates from Hermitian by {dev:.3e} (tol {HERM_TOL:g})"
-        )
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {TRACE_TOL:g}")
-    lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lo < -POS_TOL:
-        raise ValueError(f"density matrix eigenvalue {lo:.3e} below -{POS_TOL:g}")
-    return rho

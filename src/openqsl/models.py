@@ -110,14 +110,8 @@ def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
     return linalg.kron(linalg.kron(left, op), right)
 
 
-def product_model_dense(
-    p: ProductModelParams, single_site: bool = False
-) -> tuple[LindbladModel, np.ndarray]:
-    """Dense 2^n-dimensional chain with one dephasing channel per site.
-
-    ``single_site`` restricts the dissipation to the first qubit, which
-    removes the extensive scaling of the dissipative terms.
-    """
+def product_model_dense(p: ProductModelParams) -> tuple[LindbladModel, np.ndarray]:
+    """Dense 2^n-dimensional chain with one dephasing channel per site."""
     if p.n > PRODUCT_DENSE_MAX_QUBITS:
         raise ResourceLimitError(
             f"dense product model capped at {PRODUCT_DENSE_MAX_QUBITS} qubits "
@@ -126,9 +120,8 @@ def product_model_dense(
     h = np.zeros((2**p.n, 2**p.n), dtype=complex)
     for site in range(p.n):
         h += 0.5 * p.omega * _site_operator(SIGMA_Z, site, p.n)
-    sites = range(1) if single_site else range(p.n)
     ops = tuple(
-        math.sqrt(p.gamma) * _site_operator(SIGMA_X, site, p.n) for site in sites
+        math.sqrt(p.gamma) * _site_operator(SIGMA_X, site, p.n) for site in range(p.n)
     ) if p.gamma > 0.0 else ()
     psi1 = bloch_state(p.theta)
     psi0 = psi1
@@ -137,9 +130,7 @@ def product_model_dense(
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), psi0
 
 
-def product_quantities_analytic(
-    p: ProductModelParams, single_site: bool = False
-) -> QslQuantities:
+def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
     """Speed-limit scalars of the product chain in O(1) time for any n.
 
     For a product state the cross terms of the summed adjoint dissipator
@@ -173,12 +164,8 @@ def product_quantities_analytic(
     self_overlap = float(np.real(linalg.trace_product(deformation, deformation)))
     cross_overlap = float(np.real(linalg.trace_product(rho1, deformation)))
 
-    if single_site:
-        e_term = var_l1
-        g_sq = self_overlap
-    else:
-        e_term = n * var_l1
-        g_sq = n * self_overlap + n * (n - 1) * cross_overlap**2
+    e_term = n * var_l1
+    g_sq = n * self_overlap + n * (n - 1) * cross_overlap**2
     g_term = math.sqrt(max(g_sq, 0.0))
     return QslQuantities.from_terms(delta_h0, g_term, e_term)
 

@@ -24,24 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import (
-    LindbladModel,
-    adjoint_dissipator,
-    evolve,
-    first_passage_time,
-)
-from .errors import FrozenDynamicsError, SingularPointError, UnreachableTargetError
+from .dynamics import LindbladModel, adjoint_dissipator
+from .errors import FrozenDynamicsError, SingularPointError
 
-PURITY_TOL = 1e-9
-OVERLAP_IMAG_TOL = 1e-10
-OVERLAP_RANGE_TOL = 1e-12
 # Below PHI_SERIES_MAX, phi(x) = sum_n (-1)^n x^n/(n+2) is summed by Horner's
 # rule (highest order first); the first omitted term, x^17/19, is under 1e-17
 # there. Above it, the cancellation in 1 - log1p(x)/x enlarges the rounding
 # error by at most about 2/x = 20.
 PHI_SERIES_MAX = 0.1
 _PHI_COEFFS = tuple((-1.0) ** n / (n + 2) for n in reversed(range(17)))
-BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,35 +51,6 @@ class QslQuantities:
         v = 2.0 * delta_h0 + math.sqrt(2.0) * g_term
         r = v / e_term if e_term > 0.0 else None
         return cls(delta_h0=delta_h0, g_term=g_term, e_term=e_term, v_coeff=v, ratio_r=r)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Comparison of simulated first passage against the time bound.
-
-    ``t_first_passage`` is None when the target angle was not reached
-    within the horizon; the bound then holds vacuously.
-    """
-
-    theta_target: float
-    t_first_passage: float | None
-    t_qsl: float
-    t_lower: float
-    satisfied: bool
-
-
-def bures_angle(rho0: np.ndarray, rho_t: np.ndarray) -> float:
-    """arccos(sqrt(Tr(rho0 rho_t))) for a pure rho0; lies in [0, pi/2]."""
-    purity = float(np.real(linalg.trace_product(rho0, rho0)))
-    if abs(purity - 1.0) > PURITY_TOL:
-        raise ValueError(f"rho0 purity {purity!r} differs from 1 beyond {PURITY_TOL:g}")
-    overlap = linalg.trace_product(rho0, rho_t)
-    if abs(overlap.imag) > OVERLAP_IMAG_TOL:
-        raise ValueError(f"overlap has imaginary part {overlap.imag:.3e}")
-    f = overlap.real
-    if f < -OVERLAP_RANGE_TOL or f > 1.0 + OVERLAP_RANGE_TOL:
-        raise ValueError(f"overlap {f!r} outside [0, 1]")
-    return float(np.arccos(np.sqrt(min(max(f, 0.0), 1.0))))
 
 
 def compute_quantities(model: LindbladModel, psi0) -> QslQuantities:
@@ -117,8 +79,7 @@ def theta_dot_bound(q: QslQuantities, theta: float) -> float:
     """Upper bound on the angle rate: (v sin(theta) + e) / sin(2 theta)."""
     if not (0.0 < theta < np.pi / 2):
         raise SingularPointError(f"theta = {theta!r} outside the open interval (0, pi/2)")
-    num = (2.0 * q.delta_h0 + math.sqrt(2.0) * q.g_term) * math.sin(theta) + q.e_term
-    return num / math.sin(2.0 * theta)
+    return (q.v_coeff * math.sin(theta) + q.e_term) / math.sin(2.0 * theta)
 
 
 def _bound_integral(v: float, e: float, s: float) -> float:
@@ -176,34 +137,3 @@ def qsl_lower_bound(q: QslQuantities, theta_target: float) -> float:
     if den <= 0.0:
         raise FrozenDynamicsError("generator has zero speed; target unreachable")
     return s * s / den
-
-
-def evaluate_bound(
-    model: LindbladModel,
-    psi0,
-    theta_target: float,
-    horizon: float,
-    dt: float,
-) -> BoundReport:
-    """Integrate, find the first passage and compare it with the bound."""
-    traj = evolve(model, psi0, horizon, dt)
-    quantities = compute_quantities(model, psi0)
-    bound = t_qsl(quantities, theta_target)
-    lower = qsl_lower_bound(quantities, theta_target)
-    try:
-        t_fp = first_passage_time(traj, theta_target)
-    except UnreachableTargetError:
-        return BoundReport(
-            theta_target=theta_target,
-            t_first_passage=None,
-            t_qsl=bound,
-            t_lower=lower,
-            satisfied=True,
-        )
-    return BoundReport(
-        theta_target=theta_target,
-        t_first_passage=t_fp,
-        t_qsl=bound,
-        t_lower=lower,
-        satisfied=bool(t_fp >= bound - BOUND_SLACK),
-    )

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from openqsl import cli, config, qsl, verify
+from openqsl import cli, config, dynamics, qsl, verify
 from openqsl.config import ExperimentConfig, build_model, load_config
 from openqsl.errors import FrozenDynamicsError
 from openqsl.verify import PropertyResult
@@ -123,6 +123,12 @@ class TestExitCodes:
             ("scaling", "[sweep]\nname = n\nvalues = 16, 32", "[sweep] values:"),
             ("scaling", "[sweep]\nname = n\nvalues = 16, 16, 32", "[sweep] values:"),
             ("scaling", "[sweep]\nname = n\nvalues = 0, 16, 32", "[parameters]:"),
+            # a frozen chain: |0> is an eigenstate of the drive, and no dephasing
+            (
+                "scaling",
+                "[parameters]\ntheta = 0\ngamma = 0",
+                "[parameters]: generator has zero speed",
+            ),
             ("fig1a", "[parameters]\ngamma_points = 2.7", "[parameters] gamma_points:"),
             ("fig1a", "[parameters]\ngamma_points = 0", "[parameters] gamma_points:"),
             ("fig1a", "[parameters]\ngamma_points = -3", "[parameters] gamma_points:"),
@@ -146,6 +152,19 @@ class TestExitCodes:
     def test_input_outside_its_domain_exits_one(self, tmp_path, capsys, command, text, where):
         assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 1
         assert capsys.readouterr().err.startswith(f"config error: {where}")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_trajectory_over_memory_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the default evolve run stores 5001 states of d = 2
+        def unreachable(*args):
+            raise AssertionError("_propagate reached")
+
+        monkeypatch.setattr(dynamics, "TRAJECTORY_BYTE_CAP", 5001 * 4 * 16 - 1)
+        monkeypatch.setattr(dynamics, "_propagate", unreachable)
+        assert run(tmp_path, "evolve") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trajectory of 5000 steps at d = 2 needs 320064 bytes")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
     def test_property_violation_exits_three(self, tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from openqsl.errors import (
     DimensionMismatchError,
     IntegrationQualityError,
     NonHermitianError,
+    ResourceLimitError,
     SingularPointError,
     UnreachableTargetError,
 )
@@ -30,6 +31,7 @@ from openqsl.models import (
     dephasing_model,
     spontaneous_emission_model,
 )
+from openqsl.qsl import compute_quantities, t_qsl
 
 from conftest import random_complex_matrix, random_hermitian, random_state
 
@@ -530,6 +532,20 @@ class TestEvolve:
             with pytest.raises(IntegrationQualityError, match="non-finite state"):
                 evolve(model, psi0, 1.0, 0.1)
 
+    def test_memory_budget_is_checked_before_allocating(self, monkeypatch):
+        # 101 states of d = 2 take 101 * 4 * 16 = 6464 bytes
+        def unreachable(*args):
+            raise AssertionError("_propagate reached")
+
+        monkeypatch.setattr(dynamics, "TRAJECTORY_BYTE_CAP", 6463)
+        monkeypatch.setattr(dynamics, "_propagate", unreachable)
+        model, psi0 = spontaneous_emission_model(1.0)
+        with pytest.raises(ResourceLimitError, match="100 steps at d = 2 needs 6464 bytes"):
+            evolve(model, psi0, 1.0, 1e-2)
+        monkeypatch.setattr(dynamics, "TRAJECTORY_BYTE_CAP", 6464)
+        with pytest.raises(AssertionError, match="_propagate reached"):
+            evolve(model, psi0, 1.0, 1e-2)
+
     def test_renormalization_counter_stays_quiet(self):
         model, psi0 = spontaneous_emission_model(1.0)
         traj = evolve(model, psi0, 1.0, 1e-3)
@@ -543,7 +559,9 @@ class TestFirstPassage:
         traj = evolve(model, psi0, 2.0, 1e-3)
         target = np.pi / 4
         expected = -np.log(np.cos(target) ** 2)
-        assert first_passage_time(traj, target) == pytest.approx(expected, abs=1e-7)
+        t = first_passage_time(traj, target)
+        assert t == pytest.approx(expected, abs=1e-7)
+        assert t >= t_qsl(compute_quantities(model, psi0), target) - 1e-9
 
     def test_target_inside_first_step(self):
         model, psi0 = spontaneous_emission_model(1.0)
@@ -569,8 +587,10 @@ class TestFirstPassage:
         omega = 1.0
         model = LindbladModel(hamiltonian=0.5 * omega * SIGMA_X)
         traj = evolve(model, EXCITED, 4.0, 1e-4)
-        t = first_passage_time(traj, np.pi / 2 - 1e-5)
+        target = np.pi / 2 - 1e-5
+        t = first_passage_time(traj, target)
         assert t == pytest.approx(np.pi - 2e-5, abs=1e-6)
+        assert t >= t_qsl(compute_quantities(model, EXCITED), target) - 1e-9
 
     def test_unreachable_target(self):
         # dephasing saturates the angle at pi/4 for the theta = pi/4 state

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from openqsl import linalg
-from openqsl.errors import DimensionMismatchError, NonHermitianError, ResourceLimitError
+from openqsl.errors import DimensionMismatchError, ResourceLimitError
 from openqsl.models import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from conftest import random_complex_matrix, random_hermitian
+from conftest import random_complex_matrix
 
 
 class TestFrobeniusNorm:
@@ -115,35 +115,6 @@ class TestKron:
         )
 
 
-class TestMinEigenvalueHermitian:
-    def test_half_identity(self):
-        assert linalg.min_eigenvalue_hermitian(0.5 * np.eye(2, dtype=complex)) == pytest.approx(0.5)
-
-    def test_projector(self):
-        assert linalg.min_eigenvalue_hermitian(np.diag([1.0, 0.0]).astype(complex)) == pytest.approx(
-            0.0, abs=1e-14
-        )
-
-    def test_diagonal_read_off(self):
-        lo = np.exp(-2.0)
-        m = np.diag([lo, 1.0 - lo]).astype(complex)
-        assert linalg.min_eigenvalue_hermitian(m) == pytest.approx(lo, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(NonHermitianError):
-            linalg.min_eigenvalue_hermitian(m)
-
-    def test_accuracy_against_characteristic_roots(self, rng):
-        # 2x2 Hermitian eigenvalues from the quadratic formula
-        for _ in range(20):
-            h = random_hermitian(rng, 2)
-            tr = np.trace(h).real
-            det = np.linalg.det(h).real
-            lo = 0.5 * (tr - np.sqrt(tr * tr - 4.0 * det))
-            assert linalg.min_eigenvalue_hermitian(h) == pytest.approx(lo, abs=1e-10)
-
-
 class TestNormIdentities:
     def test_parallelogram_with_cross_term(self, rng):
         for dim in (2, 3, 4, 5, 6):
@@ -173,21 +144,3 @@ class TestStateValidation:
     def test_pure_state_rejects_denormalized(self):
         with pytest.raises(ValueError):
             linalg.pure_state(np.array([1.0, 1.0]))
-
-    def test_density_matrix_accepts_projector(self, rng):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        linalg.validate_density_matrix(linalg.projector(psi))
-
-    def test_density_matrix_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            linalg.validate_density_matrix(2.0 * np.eye(2, dtype=complex))
-
-    def test_density_matrix_rejects_negative(self):
-        with pytest.raises(ValueError):
-            linalg.validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_density_matrix_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
-        with pytest.raises(NonHermitianError):
-            linalg.validate_density_matrix(m)

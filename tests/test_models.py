@@ -18,13 +18,12 @@ FIELDS = ("delta_h0", "g_term", "e_term", "v_coeff", "ratio_r")
 
 class TestProductChain:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("single_site", [False, True])
-    def test_analytic_matches_dense(self, n, single_site):
+    def test_analytic_matches_dense(self, n):
         for theta in (0.3, math.pi / 4, 1.2, math.pi / 2, 2.5):
             for gamma in (0.0, 0.37, 2.0):
                 p = ProductModelParams(n=n, omega=1.3, gamma=gamma, theta=theta)
-                analytic = product_quantities_analytic(p, single_site=single_site)
-                dense = compute_quantities(*product_model_dense(p, single_site=single_site))
+                analytic = product_quantities_analytic(p)
+                dense = compute_quantities(*product_model_dense(p))
                 fields = FIELDS
                 if theta == math.pi / 2:
                     # |+> is an eigenstate of the sigma_x jump operators (to

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from openqsl import linalg, qsl
-from openqsl.dynamics import LindbladModel, evolve
+from openqsl.dynamics import LindbladModel
 from openqsl.errors import FrozenDynamicsError, SingularPointError
 from openqsl.models import (
     SIGMA_X,
-    SIGMA_Z,
     DephasingQubitParams,
     dephasing_model,
     spontaneous_emission_model,
@@ -41,33 +40,6 @@ def make_q(v, e):
     return QslQuantities(
         delta_h0=0.0, g_term=v / math.sqrt(2.0), e_term=e, v_coeff=v, ratio_r=v / e if e > 0 else None
     )
-
-
-class TestBuresAngle:
-    def test_same_state_gives_zero(self, rng):
-        rho = linalg.projector(random_state(rng, 3))
-        assert qsl.bures_angle(rho, rho) == pytest.approx(0.0, abs=1e-7)
-
-    def test_orthogonal_states(self):
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
-        rho1 = np.diag([0.0, 1.0]).astype(complex)
-        assert qsl.bures_angle(rho0, rho1) == pytest.approx(np.pi / 2, abs=1e-12)
-
-    def test_maximally_mixed_target(self, rng):
-        rho0 = linalg.projector(random_state(rng, 2))
-        assert qsl.bures_angle(rho0, 0.5 * np.eye(2, dtype=complex)) == pytest.approx(
-            np.pi / 4, abs=1e-12
-        )
-
-    def test_rejects_mixed_reference(self):
-        with pytest.raises(ValueError):
-            qsl.bures_angle(0.5 * np.eye(2, dtype=complex), np.eye(2, dtype=complex) / 2)
-
-    def test_rejects_complex_overlap(self):
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
-        bad = np.array([[0.5, 0.5j], [0.5, 0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            qsl.bures_angle(rho0, 1j * rho0 @ bad @ rho0 + np.diag([0.0, 1.0]))
 
 
 class TestComputeQuantities:
@@ -379,31 +351,3 @@ class TestLowerBound:
     def test_never_exceeds_t_qsl(self, v, e, theta):
         q = make_q(v, e)
         assert qsl.qsl_lower_bound(q, theta) <= qsl.t_qsl(q, theta) + 1e-12
-
-
-class TestEvaluateBound:
-    def test_emission_satisfied(self):
-        model, psi0 = spontaneous_emission_model(1.0)
-        report = qsl.evaluate_bound(model, psi0, np.pi / 4, horizon=2.0, dt=1e-3)
-        assert report.satisfied
-        assert report.t_first_passage == pytest.approx(math.log(2.0), abs=1e-6)
-        assert report.t_qsl == pytest.approx(1.0 - math.log(2.0), abs=1e-9)
-        assert report.t_lower <= report.t_qsl
-
-    def test_dephasing_unreachable_marker(self):
-        model, psi0 = dephasing_model(
-            DephasingQubitParams(omega=1.0, gamma=1.0, theta=np.pi / 4)
-        )
-        report = qsl.evaluate_bound(model, psi0, 1.5, horizon=20.0, dt=1e-3)
-        assert report.t_first_passage is None
-        assert report.satisfied
-        assert report.t_qsl > 0.0
-
-    def test_closed_rabi_near_full_flip(self):
-        model = LindbladModel(hamiltonian=0.5 * SIGMA_X)
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-        report = qsl.evaluate_bound(model, psi0, np.pi / 2 - 1e-5, horizon=4.0, dt=1e-4)
-        assert report.satisfied
-        assert report.t_first_passage == pytest.approx(np.pi, abs=1e-4)
-        # Mandelstam-Tamm-style time: sin(theta)/delta_h0 ~ 2
-        assert report.t_qsl == pytest.approx(2.0, abs=1e-4)
