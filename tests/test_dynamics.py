@@ -26,6 +26,7 @@ from openqsl.models import (
     IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     DephasingQubitParams,
     dephasing_model,
@@ -551,6 +552,78 @@ class TestEvolve:
         traj = evolve(model, psi0, 1.0, 1e-3)
         assert traj.renormalizations <= 2
         assert traj.trace_drift < 1e-12
+
+
+class TestTrajectoryMinEigs:
+    def test_half_identity(self):
+        states = np.array([0.5 * np.eye(2, dtype=complex)])
+        assert dynamics._min_eigs(states)[0] == pytest.approx(0.5, abs=1e-15)
+
+    def test_static_projector(self):
+        model = LindbladModel(hamiltonian=np.zeros((2, 2), dtype=complex))
+        traj = evolve(model, EXCITED, 1.0, 1e-1)
+        assert np.abs(traj.min_eigs).max() <= 1e-15
+        assert traj.min_eig == pytest.approx(0.0, abs=1e-15)
+
+    def test_emission_reads_the_smaller_population(self):
+        # amplitude damping keeps the state diagonal: diag(e^{-t}, 1 - e^{-t})
+        model, psi0 = spontaneous_emission_model(1.0)
+        traj = evolve(model, psi0, 2.0, 1e-3)
+        excited = np.exp(-traj.times)
+        np.testing.assert_allclose(
+            traj.min_eigs, np.minimum(excited, 1.0 - excited), rtol=0.0, atol=1e-12
+        )
+        assert traj.min_eig == pytest.approx(0.0, abs=1e-15)
+
+    def test_matches_characteristic_roots(self, rng):
+        # 2x2 Hermitian eigenvalues from the quadratic formula
+        states = np.array([random_hermitian(rng, 2) for _ in range(20)])
+        tr = np.trace(states, axis1=1, axis2=2).real
+        det = np.linalg.det(states).real
+        lo = 0.5 * (tr - np.sqrt(tr * tr - 4.0 * det))
+        np.testing.assert_allclose(dynamics._min_eigs(states), lo, rtol=0.0, atol=1e-10)
+
+
+class TestBuresAngles:
+    def test_emission_angle_on_every_grid_point(self):
+        # oracle: arccos(sqrt(Tr(rho0 rho_t))) = arccos(e^{-gamma t / 2})
+        model, psi0 = spontaneous_emission_model(1.0)
+        traj = evolve(model, psi0, 2.0, 1e-3)
+        np.testing.assert_allclose(
+            traj.bures_angles, np.arccos(np.exp(-0.5 * traj.times)), rtol=0.0, atol=1e-9
+        )
+
+    def test_rabi_angle_is_half_the_rotation(self):
+        # closed Rabi drive: overlap cos^2(omega t / 2), so the angle is omega t / 2
+        omega = 1.0
+        model = LindbladModel(hamiltonian=0.5 * omega * SIGMA_X)
+        traj = evolve(model, EXCITED, 3.0, 1e-3)
+        inner = (traj.times > 0.2) & (traj.times < 2.9)
+        np.testing.assert_allclose(
+            traj.bures_angles[inner], 0.5 * omega * traj.times[inner], rtol=0.0, atol=1e-9
+        )
+
+    def test_depolarized_angle_tends_to_pi_over_4(self):
+        # Bloch vector decays as e^{-4 gamma t}: the state tends to I/2,
+        # whose angle to any pure state is arccos(sqrt(1/2))
+        ops = tuple(np.sqrt(0.5) * s for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+        model = LindbladModel(hamiltonian=np.zeros((2, 2), dtype=complex), lindblad_ops=ops)
+        traj = evolve(model, EXCITED, 12.0, 1e-2)
+        assert np.all(np.diff(traj.bures_angles) >= 0.0)
+        assert traj.bures_angles[-1] == pytest.approx(np.pi / 4, abs=1e-9)
+
+    def test_partial_step_angle_matches_the_grid(self, rng):
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, 3),
+            lindblad_ops=(0.5 * random_complex_matrix(rng, 3),),
+        )
+        traj = evolve(model, random_state(rng, 3), 0.5, 1e-2)
+        rho0_flat = traj.rho0.reshape(-1).conj()
+        for k in (0, 10, 49):
+            at_k = dynamics._angle_after_step(model, traj.states[k], rho0_flat, 0.0)
+            assert at_k == pytest.approx(traj.bures_angles[k], abs=1e-7)
+            after = dynamics._angle_after_step(model, traj.states[k], rho0_flat, traj.dt)
+            assert after == pytest.approx(traj.bures_angles[k + 1], abs=1e-9)
 
 
 class TestFirstPassage:

@@ -5,7 +5,7 @@ from openqsl import linalg
 from openqsl.errors import DimensionMismatchError, ResourceLimitError
 from openqsl.models import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from conftest import random_complex_matrix
+from conftest import random_complex_matrix, random_hermitian
 
 
 class TestFrobeniusNorm:
@@ -115,6 +115,26 @@ class TestKron:
         )
 
 
+class TestHermiticityDeviation:
+    def test_hermitian_matrices_read_zero(self, rng):
+        for dim in (1, 2, 3, 5):
+            assert linalg.hermiticity_deviation(random_hermitian(rng, dim)) == 0.0
+
+    def test_paulis_read_zero(self):
+        for m in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z):
+            assert linalg.hermiticity_deviation(m) == 0.0
+
+    def test_off_diagonal_asymmetry(self):
+        raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        assert linalg.hermiticity_deviation(raising) == 1.0
+        m = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
+        assert linalg.hermiticity_deviation(m) == pytest.approx(0.2, abs=1e-15)
+
+    def test_imaginary_diagonal(self):
+        m = np.diag([0.5j, 1.0]).astype(complex)
+        assert linalg.hermiticity_deviation(m) == 1.0
+
+
 class TestNormIdentities:
     def test_parallelogram_with_cross_term(self, rng):
         for dim in (2, 3, 4, 5, 6):
@@ -144,3 +164,17 @@ class TestStateValidation:
     def test_pure_state_rejects_denormalized(self):
         with pytest.raises(ValueError):
             linalg.pure_state(np.array([1.0, 1.0]))
+
+    def test_pure_state_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError):
+            linalg.pure_state(np.array([], dtype=complex))
+
+    def test_projector_is_a_pure_density_matrix(self, rng):
+        for dim in (2, 3, 4, 6):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            rho = linalg.projector(psi / np.linalg.norm(psi))
+            assert linalg.hermiticity_deviation(rho) <= 1e-15
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+            np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)
+            eigs = np.linalg.eigvalsh(rho)
+            np.testing.assert_allclose(eigs, [0.0] * (dim - 1) + [1.0], atol=1e-14)

@@ -40,6 +40,17 @@ class TestProductChain:
                     else:
                         assert got == pytest.approx(want, rel=1e-12, abs=0.0), field
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_closed_chain_spread_grows_as_sqrt_n(self, n):
+        # without dephasing only the energy spread survives, and it adds in
+        # quadrature: n sites of (omega/2) sin(theta) each
+        p = ProductModelParams(n=n, omega=1.3, gamma=0.0, theta=1.2)
+        want = 0.5 * 1.3 * math.sin(1.2) * math.sqrt(n)
+        for q in (product_quantities_analytic(p), compute_quantities(*product_model_dense(p))):
+            assert q.delta_h0 == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert (q.g_term, q.e_term, q.ratio_r) == (0.0, 0.0, None)
+            assert q.v_coeff == 2.0 * q.delta_h0
+
 
 class TestEmissionDecay:
     def test_integrated_rate_matches_constant(self):

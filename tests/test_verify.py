@@ -25,6 +25,34 @@ class TestRunAll:
             assert math.isfinite(r.worst_margin), r.name
 
 
+class TestBoundDominance:
+    def test_small_run_passes_and_is_reproducible(self):
+        first = verify.bound_dominance(seed=1, n_models=3, horizon=6.0, dt=1e-2)
+        assert first == verify.bound_dominance(seed=1, n_models=3, horizon=6.0, dt=1e-2)
+        assert first.passed, first.violations
+        assert first.checked > 0
+        assert first.worst_margin >= -verify.TRAJECTORY_TOL
+
+    def test_undercut_bound_is_reported(self, monkeypatch):
+        monkeypatch.setattr(verify.qsl, "t_qsl", lambda q, theta: 1e3)
+        result = verify.bound_dominance(seed=1, n_models=3, horizon=6.0, dt=1e-2)
+        assert result.checked > 0
+        assert not result.passed
+        assert len(result.violations) == result.checked
+        assert list(result.violations[0]) == [
+            "seed",
+            "model_index",
+            "dim",
+            "theta_target",
+            "t_first_passage",
+            "t_qsl",
+            "margin",
+        ]
+        v = result.violations[0]
+        assert v["t_qsl"] == 1e3
+        assert v["margin"] == v["t_first_passage"] - 1e3
+
+
 class TestRecord:
     def test_keeps_worst_margin_and_counts(self):
         result = PropertyResult("demo")
