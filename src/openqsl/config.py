@@ -11,7 +11,9 @@ A config file has up to five sections::
     [output]       path, format = csv | json
 
 Inline matrices are validated at load time: a non-Hermitian Hamiltonian or
-a denormalized state vector is rejected here, naming the offending field.
+a denormalized state vector is rejected here, naming the offending field,
+and so is a model parameter (omega, gamma, theta, n) set or swept beside
+them, which an inline model would not read.
 A [parameters] or sweep value is checked against its key's domain when a
 command reads it, and a model parameter by its preset.
 """
@@ -44,6 +46,8 @@ PRESET_DEFAULTS = {
     "dephasing": {"omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
     "product": {"n": 3, "omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
 }
+# The model parameters of the presets, which an inline model does not read.
+_MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
 _MODEL_KEYS = {"preset", "hamiltonian", "lindblad_ops", "psi0"}
 # Every [parameters] key that a command reads; a sweep may vary any of
 # them, or the time grid "t".
@@ -277,9 +281,18 @@ def load_config(path: str) -> ExperimentConfig:
     if cfg.preset is not None and cfg.hamiltonian is not None:
         raise ConfigError("[model]: give either a preset or inline matrices, not both")
 
-    # Inline models must satisfy the generator invariants at load time.
+    # Inline models must satisfy the generator invariants at load time, and
+    # read none of the presets' model parameters.
     if cfg.hamiltonian is not None or cfg.psi0 is not None or cfg.lindblad_ops is not None:
         build_model(cfg)
+    if cfg.hamiltonian is not None:
+        for key in cfg.parameters:
+            if key in _MODEL_PARAMETERS:
+                raise ConfigError(f"[parameters] {key}: an inline model does not read it")
+        if cfg.sweep_name in _MODEL_PARAMETERS:
+            raise ConfigError(
+                f"[sweep] name: an inline model does not read {cfg.sweep_name!r}"
+            )
     return cfg
 
 

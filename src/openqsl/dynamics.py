@@ -1,13 +1,21 @@
 """Lindblad generator and fixed-step RK4 trajectory integration.
 
-The generator is time independent, so the classical RK4 step applied to
-the linear master equation equals the degree-4 Taylor polynomial P of the
-step propagator. For small dimensions the integrator builds P once as a
-dense d^2 x d^2 superoperator, together with its powers P^2 ... P^B. It
-advances every B-th state by P^B and fills the B - 1 states in between
-with one matrix-matrix product. For larger dimensions it falls back to the
-textbook four-stage form, one step at a time. Both paths are the same
-method with the same truncation error.
+The generator A is time independent, so the classical RK4 step of size h
+applied to the linear master equation equals the degree-4 Taylor
+polynomial P(h) = sum_k (hA)^k / k! of the step propagator. For small
+dimensions the integrator builds P once as a dense d^2 x d^2
+superoperator, together with its powers P^2 ... P^B. It advances every
+B-th state by P^B and fills the B - 1 states in between with one
+matrix-matrix product.
+
+All other steps, of any size tau, are taken from the Taylor terms
+T_k = A^k v / k! (k = 0..4) of the state v it starts from, as
+sum_k tau^k T_k: ``_taylor_terms`` builds them for a stack of states with
+four generator applications, and ``_partial_steps`` evaluates the sum in
+Horner form. The steps of a trajectory above SUPEROP_DIM_LIMIT, the states
+sampled between grid points, and the first-passage bisection, which reads
+only the overlaps of the terms with the initial state, all go this way.
+It is the same polynomial with the same truncation error as P.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ MIN_EIG_LIMIT = -1e-5
 RENORM_THRESHOLD = 1e-12
 FIRST_PASSAGE_RESOLUTION = 1e-8
 # Largest dimension whose d^2 x d^2 superoperator path, its d^6 build
-# included, beats the four-stage path on a 1000-step trajectory (measured).
+# included, beats stepping by four lindblad_rhs calls on a 1000-step
+# trajectory (measured).
 SUPEROP_DIM_LIMIT = 24
 # Steps per block on the superoperator path for a 1024-step trajectory, by
 # dimension (measured); 1 for dimensions not listed. Building B powers costs
@@ -99,12 +108,20 @@ class LindbladModel:
         a.setflags(write=False)
         return a
 
+    @functools.cached_property
+    def _jump_terms(self) -> tuple:
+        """(L, L^dag, L^dag L) of every jump operator, built on first use."""
+        return tuple((op, op.conj().T, op.conj().T @ op) for op in self.lindblad_ops)
+
 
 def dissipator(l: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """L rho L^dag - {L^dag L, rho}/2; traceless for any rho."""
     linalg._check_same_shape(l, rho)
-    ldl = l.conj().T @ l
-    return l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    return _dissipate(l, l.conj().T, l.conj().T @ l, rho)
+
+
+def _dissipate(l, l_dag, ldl, rho):
+    return l @ rho @ l_dag - 0.5 * (ldl @ rho + rho @ ldl)
 
 
 def adjoint_dissipator(l: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -121,8 +138,8 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
             f"state shape {rho.shape} != model dimension {model.hamiltonian.shape}"
         )
     out = -1j * linalg.commutator(model.hamiltonian, rho)
-    for op in model.lindblad_ops:
-        out += dissipator(op, rho)
+    for l, l_dag, ldl in model._jump_terms:
+        out += _dissipate(l, l_dag, ldl, rho)
     return out
 
 
@@ -195,13 +212,41 @@ class Trajectory:
         return float(self.min_eigs.min())
 
 
-def _rk4_step(model: LindbladModel, rho: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of the master equation."""
-    k1 = lindblad_rhs(model, rho)
-    k2 = lindblad_rhs(model, rho + (0.5 * h) * k1)
-    k3 = lindblad_rhs(model, rho + (0.5 * h) * k2)
-    k4 = lindblad_rhs(model, rho + h * k3)
-    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _taylor_terms(model: LindbladModel, flat: np.ndarray) -> np.ndarray:
+    """Taylor terms T_k = A^k v / k!, k = 0..4, of every row v of ``flat``.
+
+    ``flat`` is an (m, d^2) stack of row-major flattened states and the
+    result has shape (5, m, d^2). A is applied four times to the whole
+    stack: as the cached Liouvillian for d <= SUPEROP_DIM_LIMIT, and by
+    ``lindblad_rhs`` on each state above it.
+    """
+    d = model.dim
+    terms = np.empty((5,) + flat.shape, dtype=complex)
+    terms[0] = flat
+    # numpy divides a complex array by k as this product with 1/k, after
+    # the extra work of a complex division; the values are the same.
+    for k in range(1, 5):
+        if d <= SUPEROP_DIM_LIMIT:
+            np.matmul(terms[k - 1], model.liouvillian.T, out=terms[k])
+            terms[k] *= 1.0 / k
+        else:
+            for term, prev in zip(terms[k], terms[k - 1]):
+                rhs = lindblad_rhs(model, prev.reshape(d, d))
+                np.multiply(rhs.reshape(-1), 1.0 / k, out=term)
+    return terms
+
+
+def _partial_steps(terms: np.ndarray, taus) -> np.ndarray:
+    """sum_k tau^k T_k in Horner form: the RK4 step of size tau from each
+    state of ``_taylor_terms``, or any linear reading of it from the same
+    reading of the terms. ``taus`` is one float for every state, or an
+    (m, 1) array with one per state."""
+    out = taus * terms[4]
+    for term in terms[3:0:-1]:
+        out += term
+        out *= taus
+    out += terms[0]
+    return out
 
 
 def _rk4_propagator(a: np.ndarray, h: float) -> np.ndarray:
@@ -270,7 +315,7 @@ def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float):
         b = 1
 
         def advance(v):
-            return _rk4_step(model, v.reshape(d, d), h).reshape(-1)
+            return _partial_steps(_taylor_terms(model, v[None]), h)[0]
 
     n_renorm = 0
     v = rho0.reshape(-1)
@@ -479,40 +524,38 @@ def _states_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     """States of the run at arbitrary times within its span, gated like evolve's.
 
     The state at t is one RK4 step of the remainder t - times[k] from the
-    last stored state k at or before t (the stored state itself when the
-    remainder is 0). It is rescaled by its trace under the same
-    RENORM_THRESHOLD rule and must pass the same quality gate as a stored
-    state.
+    last stored state k at or before t, or that stored state itself, bit
+    for bit, when the remainder is 0. The steps of all samples come from one
+    batch of Taylor terms. Each sample is rescaled by its trace under the
+    same RENORM_THRESHOLD rule as a stored state and must pass the same
+    quality gate; a failure names the sample's time and fractional step.
     """
     ks = np.searchsorted(traj.times, times, "right") - 1
     taus = times - traj.times[ks]
-    out = np.empty((len(times),) + traj.rho0.shape, dtype=complex)
-    trace_errors = np.empty(len(times))
+    out = traj.states[ks]
+    step = taus != 0.0
     with np.errstate(all="ignore"):
-        for i, (k, tau) in enumerate(zip(ks, taus)):
-            rho = traj.states[k] if tau == 0.0 else _rk4_step(traj.model, traj.states[k], tau)
-            tr = float(np.trace(rho).real)
-            trace_errors[i] = abs(tr - 1.0)
-            out[i] = rho / tr if trace_errors[i] > RENORM_THRESHOLD else rho
+        if step.any():
+            flat = out[step].reshape(-1, traj.rho0.size)
+            steps = _partial_steps(_taylor_terms(traj.model, flat), taus[step, None])
+            out[step] = steps.reshape(-1, *traj.rho0.shape)
+        traces = np.trace(out, axis1=1, axis2=2).real
+        trace_errors = np.abs(traces - 1.0)
+        drift = trace_errors > RENORM_THRESHOLD
+        out[drift] /= traces[drift, None, None]
         _quality_gate(out, trace_errors, times, ks + taus / traj.dt)
     return out
-
-
-def _angle_after_step(model, rho_start, rho0_flat, tau: float) -> float:
-    if tau == 0.0:
-        rho = rho_start
-    else:
-        rho = _rk4_step(model, rho_start, tau)
-    f = float(np.real(rho.reshape(-1) @ rho0_flat))
-    return float(np.arccos(np.sqrt(min(max(f, 0.0), 1.0))))
 
 
 def first_passage_time(traj: Trajectory, theta_target: float) -> float:
     """Earliest time the trajectory's Bures angle reaches theta_target.
 
     Scans the grid for the first crossing (the angle may be non-monotonic,
-    e.g. under Rabi oscillation) and refines it by bisection, re-integrating
-    a single partial step from the bracketing state, down to 1e-8 in time.
+    e.g. under Rabi oscillation) and refines it by bisection over a partial
+    RK4 step tau from the bracketing state, down to 1e-8 in time. The
+    overlap with the initial state after that step is the scalar polynomial
+    sum_k tau^k c_k, c_k = Re<rho0, T_k>, so the Taylor terms are built once
+    per call and each bisection step is scalar arithmetic.
     """
     if not (0.0 < theta_target < np.pi / 2):
         raise ValueError("theta_target must lie in (0, pi/2)")
@@ -530,18 +573,22 @@ def first_passage_time(traj: Trajectory, theta_target: float) -> float:
     if idx == 0:
         return 0.0
 
-    rho_start = traj.states[idx - 1]
-    rho0_flat = traj.rho0.reshape(-1).conj()
-    h = traj.times[idx] - traj.times[idx - 1]
+    terms = _taylor_terms(traj.model, traj.states[idx - 1].reshape(1, -1))
+    overlaps = (terms[:, 0] @ traj.rho0.reshape(-1).conj()).real
 
-    if _angle_after_step(traj.model, rho_start, rho0_flat, h) < theta_target:
+    def angle_after(tau: float) -> float:
+        f = float(_partial_steps(overlaps, tau))
+        return math.acos(math.sqrt(min(max(f, 0.0), 1.0)))
+
+    h = float(traj.times[idx] - traj.times[idx - 1])
+    if angle_after(h) < theta_target:
         # Borderline grid hit (float-level): the grid time is the answer.
         return float(traj.times[idx])
 
-    lo, hi = 0.0, float(h)
+    lo, hi = 0.0, h
     while hi - lo > FIRST_PASSAGE_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        if _angle_after_step(traj.model, rho_start, rho0_flat, mid) >= theta_target:
+        if angle_after(mid) >= theta_target:
             hi = mid
         else:
             lo = mid

@@ -10,8 +10,10 @@ carry.
 ``verify_fisher_tradeoff`` integrates one trajectory to the last grid time
 and reads every grid time off it: a time between two stored states is
 reached by one RK4 step of the remainder from the earlier one, so each
-point is sampled exactly at its time, and every sampled state passes the
-same quality gate as the stored ones.
+point is sampled exactly at its time. The steps of all grid times come
+from one batch of Taylor terms of their starting states (four products
+with the generator for the whole grid), and every sampled state passes
+the same quality gate as the stored ones.
 """
 
 from __future__ import annotations

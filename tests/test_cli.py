@@ -237,7 +237,7 @@ class TestRateScaledSweeps:
             "[parameters]\nomega = -1\n[sweep]\nname = gamma\nvalues = 0.01, 3.3, 100",
             "[model]\nhamiltonian = [[[1, 0], [0.3, 0.1]], [[0.3, -0.1], [-1, 0]]]\n"
             "lindblad_ops = [[[[0, 0], [0.5, 0]], [[0, 0], [0, 0]]]]\n"
-            "psi0 = [[0.6, 0], [0, 0.8]]\n[parameters]\ngamma = 7\n"
+            "psi0 = [[0.6, 0], [0, 0.8]]\n"
             "[sweep]\nname = theta_target\nvalues = 0.2, 0.9",
         ],
         ids=["theta_target", "gamma", "omega", "theta", "n", "frozen", "emission", "inline"],
@@ -250,6 +250,27 @@ class TestRateScaledSweeps:
         assert len(rows) == len(cfg.sweep_values)
         for got, value in zip(rows, cfg.sweep_values):
             assert_row_matches(got, reference_qsl_row(cfg, value))
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("qsl", "[parameters]\ngamma = 7", "[parameters] gamma: an inline model does not read it"),
+            ("qsl", "[parameters]\ntheta_target = 0.5\nomega = 2", "[parameters] omega: an inline model does not read it"),
+            ("evolve", "[parameters]\ntheta = 0.3", "[parameters] theta: an inline model does not read it"),
+            ("qfi", "[parameters]\nn = 4", "[parameters] n: an inline model does not read it"),
+            ("qsl", "[sweep]\nname = gamma\nvalues = 1, 2", "[sweep] name: an inline model does not read 'gamma'"),
+        ],
+        ids=["gamma", "omega", "theta", "n", "gamma-sweep"],
+    )
+    def test_inline_model_rejects_preset_parameters(self, tmp_path, capsys, command, extra, message):
+        # an inline model reads none of them; they used to be ignored, exit 0
+        text = (
+            "[model]\nhamiltonian = [[[1, 0], [0.3, 0.1]], [[0.3, -0.1], [-1, 0]]]\n"
+            "psi0 = [[0.6, 0], [0, 0.8]]\n" + extra + "\n"
+        )
+        assert run(tmp_path, command, "--config", write_config(tmp_path, text)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_frozen_row_at_zero_rate(self, tmp_path):
         path = write_config(

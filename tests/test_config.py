@@ -43,6 +43,11 @@ class TestErrorsNameTheirKey:
             ("[model]\npsi0 = [[0, 0], [1, 0]]\n", "[model] hamiltonian:"),
             ("[model]\nlindblad_ops = [[[[1, 0]]]]\n", "[model] hamiltonian:"),
             ("[model]\npreset = dephasing\npsi0 = [[0, 0], [1, 0]]\n", "[model] hamiltonian:"),
+            ("[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, 0]]\n[parameters]\ngamma = 2\n", "[parameters] gamma:"),
+            (
+                "[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, 0]]\n[sweep]\nname = theta\nvalues = 1\n",
+                "[sweep] name:",
+            ),
             pytest.param(
                 f"[model]\nhamiltonian = [[[{BIG_INT}, 0]]]\npsi0 = [[1, 0]]\n",
                 "[model] hamiltonian:",

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from openqsl import dynamics, linalg
+from openqsl import dynamics, linalg, verify
 from openqsl.dynamics import (
     LindbladModel,
     adjoint_dissipator,
@@ -34,7 +34,7 @@ from openqsl.models import (
 )
 from openqsl.qsl import compute_quantities, t_qsl
 
-from conftest import random_complex_matrix, random_hermitian, random_state
+from conftest import four_stage_step, random_complex_matrix, random_hermitian, random_state
 
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 RHO_EXCITED = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -145,6 +145,21 @@ class TestLindbladRhs:
             )
             assert abs(np.trace(out)) < 1e-12 * max(1.0, linalg.frobenius_norm(rho))
 
+    def test_bitwise_equal_to_summed_dissipators(self, rng):
+        # the model's cached L^dag L products change no bit of the result
+        for dim in range(2, 7):
+            for n_ops in range(4):
+                model = LindbladModel(
+                    hamiltonian=random_hermitian(rng, dim),
+                    lindblad_ops=tuple(random_complex_matrix(rng, dim) for _ in range(n_ops)),
+                )
+                rho = random_complex_matrix(rng, dim)
+                want = -1j * linalg.commutator(model.hamiltonian, rho)
+                for op in model.lindblad_ops:
+                    want += dissipator(op, rho)
+                assert lindblad_rhs(model, rho).tobytes() == want.tobytes()
+                assert model._jump_terms is model._jump_terms
+
 
 class TestModelValidation:
     def test_rejects_non_hermitian_hamiltonian(self):
@@ -187,7 +202,7 @@ class TestLiouvillianMatrix:
         h = 0.01
         prop = dynamics._rk4_propagator(liouvillian_matrix(model), h)
         via_prop = (prop @ rho.reshape(-1)).reshape(3, 3)
-        via_stages = dynamics._rk4_step(model, rho, h)
+        via_stages = four_stage_step(model, rho, h)
         np.testing.assert_allclose(via_prop, via_stages, atol=1e-14)
 
     def test_bitwise_equal_to_kron_reference(self, rng):
@@ -251,7 +266,7 @@ class TestBlockedPropagation:
             monkeypatch.setattr(dynamics, "_block_size", lambda d, n, b=b: min(b, n))
             ref = [rho0]
             for _ in range(3 * b + 5):
-                ref.append(dynamics._rk4_step(model, ref[-1], h))
+                ref.append(four_stage_step(model, ref[-1], h))
             for n in sorted({1, max(b - 1, 1), b, b + 1, 3 * b + 5}):
                 states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
                 assert states.shape == (n + 1, dim, dim)
@@ -293,7 +308,7 @@ class TestBlockedPropagation:
         assert trace_errors[1:].min() > dynamics.RENORM_THRESHOLD
         ref = [rho0]
         for _ in range(n):
-            ref.append(dynamics._rk4_step(model, ref[-1], h))
+            ref.append(four_stage_step(model, ref[-1], h))
         ref = np.array(ref)
         ref /= np.trace(ref, axis1=1, axis2=2)[:, None, None]
         np.testing.assert_allclose(states, ref, rtol=0.0, atol=1e-12)
@@ -613,17 +628,179 @@ class TestBuresAngles:
         assert traj.bures_angles[-1] == pytest.approx(np.pi / 4, abs=1e-9)
 
     def test_partial_step_angle_matches_the_grid(self, rng):
+        # a grid angle is first reached at its grid time; a target between two
+        # grid angles is reached where the four-stage step from the earlier
+        # state reaches it
         model = LindbladModel(
             hamiltonian=random_hermitian(rng, 3),
             lindblad_ops=(0.5 * random_complex_matrix(rng, 3),),
         )
         traj = evolve(model, random_state(rng, 3), 0.5, 1e-2)
+        angles = traj.bures_angles
         rho0_flat = traj.rho0.reshape(-1).conj()
-        for k in (0, 10, 49):
-            at_k = dynamics._angle_after_step(model, traj.states[k], rho0_flat, 0.0)
-            assert at_k == pytest.approx(traj.bures_angles[k], abs=1e-7)
-            after = dynamics._angle_after_step(model, traj.states[k], rho0_flat, traj.dt)
-            assert after == pytest.approx(traj.bures_angles[k + 1], abs=1e-9)
+        for k in (0, 10, 40):
+            assert np.all(np.diff(angles[: k + 2]) > 0.0)
+            assert first_passage_time(traj, angles[k + 1]) == pytest.approx(
+                traj.times[k + 1], rel=0.0, abs=dynamics.FIRST_PASSAGE_RESOLUTION
+            )
+            target = 0.5 * (angles[k] + angles[k + 1])
+            t = first_passage_time(traj, target)
+            assert traj.times[k] < t < traj.times[k + 1]
+            rho = four_stage_step(model, traj.states[k], t - traj.times[k])
+            angle = np.arccos(np.sqrt(np.real(rho.reshape(-1) @ rho0_flat)))
+            assert angle == pytest.approx(target, rel=0.0, abs=1e-7)
+
+
+def _four_stage_first_passage(traj, target):
+    """first_passage_time's scan, borderline rule and bisection, with every
+    bisection step a four-stage RK4 step from the bracketing state; None when
+    the target is never reached."""
+    above = traj.bures_angles >= target
+    if not above.any():
+        return None
+    idx = int(np.argmax(above))
+    if idx == 0:
+        return 0.0
+    rho_start = traj.states[idx - 1]
+    rho0_flat = traj.rho0.reshape(-1).conj()
+
+    def angle(tau):
+        rho = four_stage_step(traj.model, rho_start, tau)
+        f = float(np.real(rho.reshape(-1) @ rho0_flat))
+        return float(np.arccos(np.sqrt(min(max(f, 0.0), 1.0))))
+
+    h = float(traj.times[idx] - traj.times[idx - 1])
+    if angle(h) < target:
+        return float(traj.times[idx])
+    lo, hi = 0.0, h
+    while hi - lo > dynamics.FIRST_PASSAGE_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        if angle(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return float(traj.times[idx - 1] + 0.5 * (lo + hi))
+
+
+def _count_generator_products(model):
+    """Swap the model's cached Liouvillian for a view that records every
+    matrix product taken with it (or with its transpose); returns the record."""
+    products = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(method)
+
+            def plain(arrays):
+                return tuple(a.view(np.ndarray) if isinstance(a, Counting) else a for a in arrays)
+
+            if "out" in kwargs:
+                kwargs["out"] = plain(kwargs["out"])
+            return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+    model.__dict__["liouvillian"] = model.liouvillian.view(Counting)
+    return products
+
+
+def _count_rhs_calls(monkeypatch):
+    """Record every lindblad_rhs call the integrator makes from now on."""
+    calls = []
+    original = dynamics.lindblad_rhs
+
+    def counting(model, rho):
+        calls.append(rho.shape)
+        return original(model, rho)
+
+    monkeypatch.setattr(dynamics, "lindblad_rhs", counting)
+    return calls
+
+
+class TestTaylorTerms:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 25])
+    def test_partial_steps_match_four_stage_form(self, dim):
+        rng = np.random.default_rng(dim)
+        model, _ = verify.random_model(rng, dim)
+        states = np.array([linalg.projector(random_state(rng, dim)) for _ in range(4)])
+        taus = np.array([1e-4, 3.7e-3, 0.02, 0.11])
+        terms = dynamics._taylor_terms(model, states.reshape(4, -1))
+        assert terms.shape == (5, 4, dim * dim)
+        got = dynamics._partial_steps(terms, taus[:, None]).reshape(4, dim, dim)
+        for g, rho, tau in zip(got, states, taus):
+            want = four_stage_step(model, rho, tau)
+            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+        # above the limit the generator is applied by lindblad_rhs, and the
+        # d^2 x d^2 superoperator is never built
+        assert ("liouvillian" in model.__dict__) == (dim <= dynamics.SUPEROP_DIM_LIMIT)
+
+    def test_propagation_above_the_limit_matches_four_stage_chain(self, rng, monkeypatch):
+        monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+        model, psi0 = verify.random_model(rng, 3)
+        rho0 = linalg.projector(psi0)
+        states, _, _ = dynamics._propagate(model, rho0, 20, 1e-2)
+        ref = [rho0]
+        for _ in range(20):
+            ref.append(four_stage_step(model, ref[-1], 1e-2))
+        np.testing.assert_allclose(states, np.array(ref), rtol=0.0, atol=1e-13)
+
+    def test_first_passage_matches_four_stage_bisection(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(50):
+            model, psi0 = verify.random_model(rng, int(rng.choice(verify.BOUND_DIMS)))
+            traj = evolve(model, psi0, 4.0, 2e-3)
+            for target in verify.TARGETS:
+                want = _four_stage_first_passage(traj, target)
+                if want is None:
+                    with pytest.raises(UnreachableTargetError):
+                        first_passage_time(traj, target)
+                    continue
+                assert abs(first_passage_time(traj, target) - want) <= 1e-9
+                checked += 1
+        assert checked >= 100
+
+
+class TestGeneratorApplications:
+    # Partial steps are taken from four generator applications per state,
+    # however many steps are then read off them; per-step integration would
+    # multiply these counts by the bisection depth or the grid size.
+    GRID = np.array([4e-4, 1e-3, 2.7e-3, 1e-2, 3.16e-2, 0.1, 0.137])
+
+    def test_first_passage_makes_four_products(self, monkeypatch):
+        model, psi0 = verify.random_model(np.random.default_rng(3), 3)
+        traj = evolve(model, psi0, 6.0, 1e-2)
+        products = _count_generator_products(model)
+        rhs = _count_rhs_calls(monkeypatch)
+        for target in (0.2, 0.5, 0.8):
+            del products[:]
+            first_passage_time(traj, target)
+            assert products == ["__call__"] * 4
+        assert rhs == []
+
+    def test_states_at_makes_four_products_for_the_whole_grid(self, monkeypatch):
+        model, psi0 = verify.random_model(np.random.default_rng(4), 4)
+        traj = evolve(model, psi0, self.GRID[-1], 1e-3)
+        products = _count_generator_products(model)
+        rhs = _count_rhs_calls(monkeypatch)
+        dynamics._states_at(traj, self.GRID)
+        assert products == ["__call__"] * 4
+        assert rhs == []
+
+    def test_four_rhs_calls_per_state_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+        model, psi0 = verify.random_model(np.random.default_rng(5), 2)
+        traj = evolve(model, psi0, 6.0, 1e-2)
+        rhs = _count_rhs_calls(monkeypatch)
+        for target in (0.2, 0.5):
+            del rhs[:]
+            first_passage_time(traj, target)
+            assert len(rhs) == 4
+        del rhs[:]
+        samples = dynamics._states_at(traj, self.GRID)
+        off_lattice = int(np.sum(np.abs(self.GRID / traj.dt - np.round(self.GRID / traj.dt)) > 1e-9))
+        assert len(rhs) == 4 * off_lattice
+        assert "liouvillian" not in model.__dict__
+        assert samples.shape == (len(self.GRID), 2, 2)
 
 
 class TestFirstPassage:

@@ -10,6 +10,15 @@ from openqsl.errors import IntegrationQualityError
 from openqsl.models import spontaneous_emission_model
 from openqsl.qsl import QslQuantities
 
+from conftest import four_stage_step
+
+
+def _terms_stepping_to(terms, state):
+    """Taylor terms shaped like ``terms`` whose every partial step is ``state``."""
+    out = np.zeros_like(terms)
+    out[0] = state.reshape(-1)
+    return out
+
 
 class TestQfiShortTime:
     @pytest.mark.parametrize("t", [1e-3, 0.5, 2.0])
@@ -137,28 +146,31 @@ class TestOneTrajectory:
         times = traj.times[[0, 7, 100]]
         assert dynamics._states_at(traj, times).tobytes() == traj.states[[0, 7, 100]].tobytes()
         off = np.array([traj.times[7] + 0.25 * traj.dt])
-        want = dynamics._rk4_step(model, traj.states[7], off[0] - traj.times[7])
-        np.testing.assert_array_equal(dynamics._states_at(traj, off)[0], want)
+        want = four_stage_step(model, traj.states[7], off[0] - traj.times[7])
+        np.testing.assert_allclose(dynamics._states_at(traj, off)[0], want, rtol=0.0, atol=1e-15)
 
     def test_drifting_sample_is_rescaled(self, rng, monkeypatch):
         model, psi0 = verify.random_model(rng, 3)
         traj = evolve(model, psi0, 0.1, 1e-3)
-        original = dynamics._rk4_step
+        original = dynamics._taylor_terms
         monkeypatch.setattr(
-            dynamics, "_rk4_step", lambda model, rho, h: (1.0 + 1e-9) * original(model, rho, h)
+            dynamics, "_taylor_terms", lambda model, flat: (1.0 + 1e-9) * original(model, flat)
         )
         off = np.array([traj.times[7] + 0.25 * traj.dt])
-        want = dynamics._rk4_step(model, traj.states[7], off[0] - traj.times[7])
+        # the sample from the same (patched) kernel, before rescaling
+        terms = dynamics._taylor_terms(model, traj.states[7].reshape(1, -1))
+        want = dynamics._partial_steps(terms, off[0] - traj.times[7])[0].reshape(3, 3)
+        assert abs(np.trace(want).real - 1.0) > dynamics.RENORM_THRESHOLD
         got = dynamics._states_at(traj, off)[0]
         np.testing.assert_allclose(got, want / np.trace(want).real, rtol=0.0, atol=1e-16)
 
     @pytest.mark.parametrize(
         "fault, message",
         [
-            (lambda rho: np.full_like(rho, np.nan), r"non-finite state at t = 0\.0027 \(step 2\.7\)"),
-            (lambda rho: (1.0 + 2e-6) * rho, r"trace drift 2\.000e-06, min eigenvalue -?\d"),
+            (lambda terms: np.full_like(terms, np.nan), r"non-finite state at t = 0\.0027 \(step 2\.7\)"),
+            (lambda terms: (1.0 + 2e-6) * terms, r"trace drift 2\.000e-06, min eigenvalue -?\d"),
             (
-                lambda rho: np.diag([1.0 + 1e-4, -1e-4]).astype(complex),
+                lambda terms: _terms_stepping_to(terms, np.diag([1.0 + 1e-4, -1e-4])),
                 r"trace drift \d\.\d{3}e[+-]\d\d, min eigenvalue -1\.000e-04",
             ),
         ],
@@ -166,9 +178,9 @@ class TestOneTrajectory:
     def test_failing_sample_raises_the_gate_error(self, monkeypatch, fault, message):
         # the trajectory itself takes the superoperator path and passes; only
         # the partial step to the off-lattice time 2.7e-3 goes wrong
-        original = dynamics._rk4_step
+        original = dynamics._taylor_terms
         monkeypatch.setattr(
-            dynamics, "_rk4_step", lambda model, rho, h: fault(original(model, rho, h))
+            dynamics, "_taylor_terms", lambda model, flat: fault(original(model, flat))
         )
         model, psi0 = spontaneous_emission_model(1.0)
         with pytest.raises(IntegrationQualityError) as info:
