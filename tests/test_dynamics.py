@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from openqsl import dynamics, linalg, verify
+from openqsl import dynamics, fisher, linalg, verify
 from openqsl.dynamics import (
     LindbladModel,
     adjoint_dissipator,
@@ -227,6 +227,26 @@ class TestLiouvillianMatrix:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_propagator_bitwise_equal_to_dividing_form(self, rng, dim):
+        def dividing_reference(a, h):
+            ha = h * a
+            prop = np.eye(a.shape[0], dtype=complex)
+            term = np.eye(a.shape[0], dtype=complex)
+            for k in (1, 2, 3, 4):
+                term = term @ ha / k
+                prop = prop + term
+            return prop
+
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, dim),
+            lindblad_ops=(random_complex_matrix(rng, dim),),
+        )
+        for a in (model.liouvillian, random_complex_matrix(rng, dim * dim)):
+            h = float(rng.uniform(1e-4, 0.1))
+            got = dynamics._rk4_propagator(a, h)
+            assert got.tobytes() == dividing_reference(a, h).tobytes()
+
     def test_cached_on_model_and_read_only(self, rng):
         model = LindbladModel(
             hamiltonian=random_hermitian(rng, 3),
@@ -331,6 +351,18 @@ class TestBlockedPropagation:
         assert [id(m) for m in calls] == [id(m) for m in models]
 
 
+# (lowest eigenvalue, certified): certified down to just above
+# -c = -0.999999e-5
+CERTIFICATE_EDGE = [
+    (0.0, True),
+    (-0.99999e-5, True),
+    (-0.999998e-5, True),
+    (-0.9999995e-5, False),
+    (-1e-5, False),
+    (-1.0000001e-5, False),
+]
+
+
 def _rotated_states(rng, dim, lowest):
     """Random U diag(p) U^dag with min(p) = lowest and sum(p) = 1."""
     u, _ = np.linalg.qr(random_complex_matrix(rng, dim))
@@ -376,21 +408,60 @@ class TestPositivityGate:
                     self._evolve_on(monkeypatch, states)
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
-    def test_certificate_is_sound_and_tight(self, rng, dim):
+    def test_certificate_is_sound_and_tight(self, rng, monkeypatch, dim):
         # certified down to just above -c = -0.999999e-5; below that the
-        # exact eigenvalues decide, even where they still pass (-0.9999995e-5)
-        for lowest, certified in [
-            (0.0, True),
-            (-0.99999e-5, True),
-            (-0.999998e-5, True),
-            (-0.9999995e-5, False),
-            (-1e-5, False),
-            (-1.0000001e-5, False),
-        ]:
-            states = np.array([_rotated_states(rng, dim, lowest) for _ in range(6)])
-            assert dynamics._positivity_certified(states) is certified
-            if certified:
-                assert np.linalg.eigvalsh(states).min() >= dynamics.MIN_EIG_LIMIT
+        # exact eigenvalues decide, even where they still pass (-0.9999995e-5);
+        # the same for the stacked sweep and for LAPACK
+        for min_states in (0, 10**9):
+            monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
+            for lowest, certified in CERTIFICATE_EDGE:
+                states = np.array([_rotated_states(rng, dim, lowest) for _ in range(6)])
+                assert dynamics._scan_states(states)[1] is certified
+                if certified:
+                    assert np.linalg.eigvalsh(states).min() >= dynamics.MIN_EIG_LIMIT
+
+    @pytest.mark.parametrize("chunk", [4, 7])
+    @pytest.mark.parametrize("dim", range(2, dynamics.SWEEP_DIM_LIMIT + 2))
+    def test_sweep_decides_as_lapack_cholesky(self, rng, monkeypatch, dim, chunk):
+        # the edge state first, in the middle, and alone in a one-state last chunk
+        monkeypatch.setattr(dynamics, "STATE_CHUNK", chunk)
+        monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", 0)
+        shift = dynamics._POSITIVITY_SHIFT * np.eye(dim)
+        for lowest, _ in CERTIFICATE_EDGE:
+            for where in (0, chunk // 2, 2 * chunk):
+                states = np.array([_rotated_states(rng, dim, 0.01) for _ in range(2 * chunk + 1)])
+                states[where] = _rotated_states(rng, dim, lowest)
+                try:
+                    np.linalg.cholesky(states + shift)
+                    want = True
+                except np.linalg.LinAlgError:
+                    want = False
+                assert dynamics._scan_states(states)[1] is want
+        # a pivot of exactly 0 fails, as in LAPACK
+        c = dynamics._POSITIVITY_SHIFT
+        states = np.array([_rotated_states(rng, dim, 0.01) for _ in range(2 * chunk + 1)])
+        states[-1] = np.diag([-c] + [(1.0 + c) / (dim - 1)] * (dim - 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(states + shift)
+        assert dynamics._scan_states(states)[1] is False
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_herm_drift_bitwise_equal_to_both_triangle_max(self, rng, monkeypatch, dim):
+        # oracle: the largest |A - A^H| entry over both triangles of every state
+        monkeypatch.setattr(dynamics, "STATE_CHUNK", 97)
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, dim),
+            lindblad_ops=(0.5 * random_complex_matrix(rng, dim),),
+        )
+        traj = evolve(model, random_state(rng, dim), 0.3, 1e-3)
+        assert len(traj.states) >= dynamics.SWEEP_MIN_STATES
+        want = np.abs(traj.states - traj.states.conj().transpose(0, 2, 1)).max()
+        assert np.float64(traj.herm_drift).tobytes() == want.tobytes()
+        skewed = traj.states + 1e-9 * random_complex_matrix(rng, dim)
+        want = np.abs(skewed - skewed.conj().transpose(0, 2, 1)).max()
+        for min_states in (0, 10**9):
+            monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
+            assert np.float64(dynamics._scan_states(skewed)[0]).tobytes() == want.tobytes()
 
     def test_successful_evolve_makes_no_eigvalsh_call(self, monkeypatch):
         calls = []
@@ -448,14 +519,50 @@ class TestPositivityGate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 2), (2, 0)])
-    def test_herm_drift_is_non_finite_with_any_non_finite_entry(self, rng, bad, where):
+    def test_herm_drift_is_non_finite_with_any_non_finite_entry(
+        self, rng, monkeypatch, bad, where
+    ):
         # the finiteness check reads the hermiticity pass: a non-finite entry,
-        # diagonal or not, must make that pass non-finite
+        # diagonal or not, must make that pass non-finite, in either layout
         states = np.array([_rotated_states(rng, 3, 0.01) for _ in range(4)])
-        assert np.isfinite(dynamics._max_herm_deviation(states))
+        for min_states in (0, 10**9):
+            monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
+            assert np.isfinite(dynamics._scan_states(states)[0])
         states[2][where] = bad
-        with np.errstate(invalid="ignore"):
-            assert not np.isfinite(dynamics._max_herm_deviation(states))
+        for min_states in (0, 10**9):
+            monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
+            with np.errstate(invalid="ignore"):
+                assert not np.isfinite(dynamics._scan_states(states)[0])
+
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_gate_never_writes_to_the_states(self, rng, monkeypatch, n):
+        # chunks of 4 leave one state alone in the last chunk of 9, and a
+        # stack of one state is a single one-state chunk; evolve stores at
+        # least two states
+        monkeypatch.setattr(dynamics, "STATE_CHUNK", 4)
+        monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", 0)
+        states = np.array([_rotated_states(rng, 3, 0.01) for _ in range(n)])
+        before = states.copy()
+        dynamics._quality_gate(states, np.zeros(n), np.arange(n), np.arange(n))
+        assert states.tobytes() == before.tobytes()
+        if n == 1:
+            return
+        traj = self._evolve_on(monkeypatch, states)
+        assert traj.states is states
+        assert states.tobytes() == before.tobytes()
+
+    def test_successful_evolve_makes_no_cholesky_call(self, monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        model, psi0 = spontaneous_emission_model(1.0)
+        evolve(model, psi0, 1.0, 1e-3)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_entry_anywhere_rejected(self, rng, monkeypatch, bad):
@@ -600,6 +707,49 @@ class TestTrajectoryMinEigs:
 
 
 class TestBuresAngles:
+    def test_computed_on_first_read_and_cached(self, rng):
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, 3),
+            lindblad_ops=(0.5 * random_complex_matrix(rng, 3),),
+        )
+        # a start whose Tr(rho0^2) rounds below 1, so the pinned k = 0 overlap shows
+        for _ in range(100):
+            traj = evolve(model, random_state(rng, 3), 1.0, 1e-3)
+            overlaps = np.real(
+                traj.states.reshape(len(traj.times), -1) @ traj.rho0.reshape(-1).conj()
+            )
+            if overlaps[0] < 1.0:
+                break
+        else:
+            pytest.fail("every start gave Tr(rho0^2) = 1 exactly")
+        assert "bures_angles" not in traj.__dict__
+        overlaps[0] = 1.0
+        want = np.arccos(np.sqrt(np.clip(overlaps, 0.0, 1.0)))
+        angles = traj.bures_angles
+        assert "bures_angles" in traj.__dict__
+        assert traj.bures_angles is angles
+        assert angles[0] == 0.0
+        assert angles.dtype == want.dtype
+        assert angles.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            angles[1] = 0.0
+
+    def test_fisher_check_never_reads_the_angles(self, rng, monkeypatch):
+        runs = []
+
+        def recording(*args):
+            runs.append(evolve(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(fisher, "evolve", recording)
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, 2),
+            lindblad_ops=(0.5 * random_complex_matrix(rng, 2),),
+        )
+        fisher.verify_fisher_tradeoff(model, random_state(rng, 2), [1e-3, 1e-2], 1e-3)
+        assert len(runs) == 1
+        assert "bures_angles" not in runs[0].__dict__
+
     def test_emission_angle_on_every_grid_point(self):
         # oracle: arccos(sqrt(Tr(rho0 rho_t))) = arccos(e^{-gamma t / 2})
         model, psi0 = spontaneous_emission_model(1.0)
