@@ -82,6 +82,7 @@ class LindbladModel:
 
     def __post_init__(self):
         h = linalg.as_matrix(self.hamiltonian)
+        linalg._check_finite(h, "hamiltonian")
         dev = linalg.hermiticity_deviation(h)
         if dev > HAMILTONIAN_HERM_TOL:
             raise NonHermitianError(
@@ -89,11 +90,12 @@ class LindbladModel:
                 f"(tol {HAMILTONIAN_HERM_TOL:g})"
             )
         ops = tuple(linalg.as_matrix(op) for op in self.lindblad_ops)
-        for op in ops:
+        for k, op in enumerate(ops):
             if op.shape != h.shape:
                 raise DimensionMismatchError(
                     f"lindblad operator shape {op.shape} != hamiltonian {h.shape}"
                 )
+            linalg._check_finite(op, f"lindblad operator {k}")
         object.__setattr__(self, "hamiltonian", _readonly(h))
         object.__setattr__(self, "lindblad_ops", tuple(_readonly(op) for op in ops))
 
@@ -186,16 +188,17 @@ class Trajectory:
     ``min_eigs[k]`` is the lowest eigenvalue of state k from
     ``np.linalg.eigvalsh`` (lower triangle). ``evolve`` certifies positivity
     without it, so it is computed exactly on first read and then cached,
-    read-only, like ``min_eig``. ``bures_angles[k]``, the Bures angle
-    arccos(sqrt(Re<rho0, rho_k>)) of state k to the initial state, is
-    likewise computed on first read and cached read-only.
+    read-only, like ``min_eig``. ``herm_drift``, the largest entry of
+    |rho - rho^H| over both triangles of every state, which no check reads,
+    and ``bures_angles[k]``, the Bures angle arccos(sqrt(Re<rho0, rho_k>))
+    of state k to the initial state, are likewise computed on first read
+    and cached, the angles read-only.
     """
 
     times: np.ndarray
     states: np.ndarray
     trace_errors: np.ndarray
     trace_drift: float
-    herm_drift: float
     renormalizations: int
     dt: float
     model: LindbladModel
@@ -210,6 +213,10 @@ class Trajectory:
     @functools.cached_property
     def min_eig(self) -> float:
         return float(self.min_eigs.min())
+
+    @functools.cached_property
+    def herm_drift(self) -> float:
+        return max(linalg.hermiticity_deviation(block) for _, block in _chunks(self.states))
 
     @functools.cached_property
     def bures_angles(self) -> np.ndarray:
@@ -366,8 +373,10 @@ def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float):
 
 
 # States per chunk of the batched per-state checks, so that their
-# temporaries stay bounded however long the trajectory is.
-STATE_CHUNK = 8192
+# temporaries stay bounded however long the trajectory is. 2048 beats 8192
+# on verify's 12 001-state trajectories (measured): at 8192 each chunk-sized
+# temporary is mapped and faulted in afresh, about 5x the minor page faults.
+STATE_CHUNK = 2048
 
 
 def _chunks(states: np.ndarray):
@@ -392,8 +401,8 @@ def _min_eigs(states: np.ndarray) -> np.ndarray:
 
 # Positivity certificate. Cholesky of A = rho + c I with
 # c = -MIN_EIG_LIMIT (1 - 1e-6) reads the lower triangle, as eigvalsh does;
-# the asymmetry of a state is tracked separately in herm_drift. If it
-# succeeds in floating point, the computed factor R satisfies
+# no check reads the asymmetry of a state (Trajectory.herm_drift reports
+# it). If it succeeds in floating point, the computed factor R satisfies
 # R^* R = A + dA with |dA| <= gamma_{d+1} |R^*| |R| entrywise, gamma_k = k u
 # / (1 - k u) up to a small constant in complex arithmetic (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10, Thm
@@ -419,9 +428,9 @@ def _min_eigs(states: np.ndarray) -> np.ndarray:
 # column, about d^3 m / 3 entries in all, where LAPACK keeps each matrix in
 # cache: above SWEEP_DIM_LIMIT LAPACK's batched zpotrf is faster. Below
 # SWEEP_MIN_STATES states the fixed cost of the sweep's 7d calls outweighs
-# one LAPACK call per state. Both limits are measured: at d = 8 the sweep
-# wins on 1001 states but loses 15% on 8192, and 256 states is the
-# shortest stack on which it wins at every d = 2..7.
+# one LAPACK call per state. Both limits were measured with 8192-state
+# chunks: at d = 8 the sweep won on 1001 states but lost 15% on 8192, and
+# 256 states is the shortest stack on which it wins at every d = 2..7.
 _POSITIVITY_SHIFT = -MIN_EIG_LIMIT * (1.0 - 1e-6)
 SWEEP_DIM_LIMIT = 7
 SWEEP_MIN_STATES = 256
@@ -446,83 +455,61 @@ def _cholesky_sweep(a: np.ndarray) -> bool:
     return True
 
 
-def _scan_states(states: np.ndarray) -> tuple[float, bool]:
-    """(herm_drift, certified) of a stack of states in one pass over its chunks.
+def _certified(states: np.ndarray) -> bool:
+    """True when every entry of the stack is finite and Cholesky proves every
+    lowest eigenvalue >= MIN_EIG_LIMIT, checked chunk by chunk.
 
-    herm_drift is the largest entry of |A - A^H| over every state. A NaN or
-    infinite entry makes its own slot of A - A^H non-finite, so it is
-    non-finite whenever some entry is; the scan stops there, uncertified.
-    certified is True when Cholesky proves every lowest eigenvalue
-    >= MIN_EIG_LIMIT.
+    A chunk whose sum is finite has only finite entries, in both triangles;
+    a non-finite sum, which a finite chunk gives only by overflow, fails.
     """
     d = states.shape[1]
     sweep = d <= SWEEP_DIM_LIMIT and states.shape[0] >= SWEEP_MIN_STATES
-    worst, certified = 0.0, True
     for _, block in _chunks(states):
+        if not np.isfinite(block.sum()):
+            return False
         if sweep:
             # A copy, never a view: the sweep overwrites it, and
             # np.ascontiguousarray returns a view of a one-state chunk.
-            a = np.moveaxis(block, 0, -1).copy()
-            a_h = a.transpose(1, 0, 2)
-        else:
-            a = block
-            a_h = a.transpose(0, 2, 1)
-        # C order, so that the subtraction walks both operands alike.
-        diff = np.conjugate(a_h, out=np.empty_like(a))
-        np.subtract(a, diff, out=diff)
-        dev = float(np.abs(diff).max())
-        # Freed before the sweep: kept alive beside the copy, it made glibc
-        # hand the heap top back and fault it in again on every call
-        # (75 minor faults per fisher_short item, measured).
-        del diff
-        if not dev <= worst:
-            worst = dev
-            if not math.isfinite(worst):
-                return worst, False
-        if not certified:
-            continue
-        if sweep:
-            certified = _cholesky_sweep(a)
+            if not _cholesky_sweep(np.moveaxis(block, 0, -1).copy()):
+                return False
         else:
             try:
                 np.linalg.cholesky(block + _POSITIVITY_SHIFT * np.eye(d))
             except np.linalg.LinAlgError:
-                certified = False
-    return worst, certified
+                return False
+    return True
 
 
-def _quality_gate(
-    states: np.ndarray, trace_errors: np.ndarray, times, steps
-) -> tuple[float, float]:
+def _quality_gate(states: np.ndarray, trace_errors: np.ndarray, times, steps) -> float:
     """Reject a stack of states that no accurate integration could produce.
 
     Raises ``IntegrationQualityError`` when a state has a NaN or infinite
     entry, a trace error exceeds TRACE_DRIFT_LIMIT, or a lowest eigenvalue
     falls below MIN_EIG_LIMIT. ``times[i]`` and ``steps[i]``, the steps of
     the run up to state i (fractional for a state between grid points), name
-    the first non-finite state in the message. The hermiticity deviation
-    and the Cholesky certificate come from one pass over the chunks of
-    ``states`` (``_scan_states``), which never writes to them; eigvalsh runs
-    only when the certificate or the trace fails. Returns (trace_drift,
-    herm_drift), the worst trace error and hermiticity deviation.
+    the first non-finite state in the message. The finiteness test and the
+    Cholesky certificate run on each chunk of ``states`` (``_certified``),
+    which is never written to; only when the certificate or the trace fails
+    does the gate look for the first non-finite state, and then let the
+    exact eigvalsh eigenvalues decide. Returns trace_drift, the worst trace
+    error.
     """
-    herm_drift, certified = _scan_states(states)
-    if not math.isfinite(herm_drift):
+    certified = _certified(states)
+    trace_drift = float(trace_errors.max())
+    if trace_drift > TRACE_DRIFT_LIMIT or not certified:
         bad = _first_nonfinite(states)
         if bad is not None:
             raise IntegrationQualityError(
                 f"integration quality failure: non-finite state at t = {times[bad]:.6g} "
                 f"(step {steps[bad]:.10g}); retry with a smaller dt"
             )
-    trace_drift = float(trace_errors.max())
-    if trace_drift > TRACE_DRIFT_LIMIT or not certified:
         min_eig = float(_min_eigs(states).min())
         if trace_drift > TRACE_DRIFT_LIMIT or min_eig < MIN_EIG_LIMIT:
             raise IntegrationQualityError(
                 f"integration quality failure: trace drift {trace_drift:.3e}, "
                 f"min eigenvalue {min_eig:.3e}; retry with a smaller dt"
             )
-    return trace_drift, herm_drift
+    return trace_drift
 
 
 def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
@@ -539,8 +526,8 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     factorization of every state shifted by just under 1e-5; only when that
     fails are the exact eigvalsh eigenvalues computed, and they decide. A
     diverging run reports that error alone, without numpy's floating-point
-    warnings. The per-state ``min_eigs`` and ``bures_angles`` are computed
-    when first read.
+    warnings. No hermiticity pass runs: ``herm_drift``, like the per-state
+    ``min_eigs`` and ``bures_angles``, is computed when first read.
     """
     psi0 = linalg.pure_state(psi0)
     if psi0.size != model.dim:
@@ -567,14 +554,13 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     # A diverging run overflows on its way to the gate.
     with np.errstate(all="ignore"):
         states, trace_errors, n_renorm = _propagate(model, rho0, n_steps, h)
-        trace_drift, herm_drift = _quality_gate(states, trace_errors, times, range(n_steps + 1))
+        trace_drift = _quality_gate(states, trace_errors, times, range(n_steps + 1))
 
     return Trajectory(
         times=times,
         states=states,
         trace_errors=trace_errors,
         trace_drift=trace_drift,
-        herm_drift=herm_drift,
         renormalizations=n_renorm,
         dt=h,
         model=model,

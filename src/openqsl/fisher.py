@@ -102,15 +102,15 @@ def verify_fisher_tradeoff(
     at or before t, so a grid time below the step is one step of size t from
     the initial state. Points beyond the short-time window are still
     evaluated; the estimate simply stops being a Fisher-information reading
-    there.
+    there. The fidelity is read against ``traj.rho0``, the normalized start
+    that was integrated.
     """
     t_grid = time_grid(t_grid)
     q = compute_quantities(model, psi0)
-    rho0 = linalg.projector(linalg.pure_state(psi0))
     traj = evolve(model, psi0, t_grid[-1], min(dt, t_grid[-1]))
     reports = []
     for t, rho in zip(t_grid, _states_at(traj, np.array(t_grid))):
-        fid = float(np.real(linalg.trace_product(rho0, rho)))
+        fid = float(np.real(linalg.trace_product(traj.rho0, rho)))
         fid = min(max(fid, 0.0), 1.0)
         est = qfi_short_time(fid, t)
         ceil = qfi_bound(q, t)

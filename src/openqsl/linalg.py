@@ -3,8 +3,8 @@
 Operators and states are plain numpy arrays: small dense complex square
 matrices (dim <= 4096) and state vectors. The kernel surface is input
 coercion and checks (``as_matrix``, ``pure_state``, shape agreement,
-``hermiticity_deviation``), the products the generator and the bound are
-built from (``commutator``, ``trace_product``, ``kron`` under
+finiteness, ``hermiticity_deviation``), the products the generator and the
+bound are built from (``commutator``, ``trace_product``, ``kron`` under
 ``KRON_DIM_CAP``, ``projector``) and ``frobenius_norm``. There is
 deliberately no sparse path and no decomposition layer: positivity of
 integrated states is checked in ``dynamics``, where the states are.
@@ -60,9 +60,15 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
+
+
 def hermiticity_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    return float(np.abs(m - m.conj().T).max())
+    """Largest entrywise deviation of m from its conjugate transpose; for a
+    stack of matrices (..., d, d), the largest over all of them."""
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
 
 
 def pure_state(amplitudes) -> np.ndarray:
@@ -70,6 +76,7 @@ def pure_state(amplitudes) -> np.ndarray:
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size < 1:
         raise DimensionMismatchError("state vector is empty")
+    _check_finite(psi, "state vector")
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond {STATE_NORM_TOL:g}")

@@ -111,11 +111,18 @@ def t_qsl(q: QslQuantities, theta_target: float) -> float:
     return _bound_integral(q.v_coeff, q.e_term, math.sin(theta_target))
 
 
+def _target_sine(theta_target: float) -> float:
+    """sin(Theta) of a target angle in [0, pi/2]; ValueError otherwise, NaN included."""
+    if not (0.0 <= theta_target <= np.pi / 2):
+        raise ValueError(f"theta_target = {theta_target!r} outside [0, pi/2]")
+    return math.sin(theta_target)
+
+
 def t_qsl_strong_decoherence(q: QslQuantities, theta_target: float) -> float:
     """Fluctuation-dominated limit sin^2(Theta)/e of the time bound."""
     if q.e_term <= 0.0:
         raise FrozenDynamicsError("strong-decoherence limit requires e_term > 0")
-    s = math.sin(theta_target)
+    s = _target_sine(theta_target)
     return s * s / q.e_term
 
 
@@ -127,12 +134,12 @@ def f_ratio(r: float, theta_target: float) -> float:
     """
     if r <= 0.0:
         raise ValueError("ratio must be positive")
-    return r * _bound_integral(r, 1.0, math.sin(theta_target))
+    return r * _bound_integral(r, 1.0, _target_sine(theta_target))
 
 
 def qsl_lower_bound(q: QslQuantities, theta_target: float) -> float:
     """Algebraic floor sin^2(Theta)/(e + v sin(Theta)) under the time bound."""
-    s = math.sin(theta_target)
+    s = _target_sine(theta_target)
     den = q.e_term + q.v_coeff * s
     if den <= 0.0:
         raise FrozenDynamicsError("generator has zero speed; target unreachable")

@@ -173,6 +173,18 @@ class TestModelValidation:
                 lindblad_ops=(np.eye(3, dtype=complex),),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0)])
+    def test_rejects_non_finite_operands(self, bad, where):
+        # NaN compares false against the hermiticity tolerance, and an inf
+        # entry would make h - h^H warn; each operand is named
+        m = np.zeros((2, 2), dtype=complex)
+        m[where] = bad
+        with pytest.raises(ValueError, match="^hamiltonian has a non-finite entry$"):
+            LindbladModel(hamiltonian=m)
+        with pytest.raises(ValueError, match="^lindblad operator 1 has a non-finite entry$"):
+            LindbladModel(hamiltonian=SIGMA_Z, lindblad_ops=(SIGMA_MINUS, m))
+
     def test_model_arrays_are_immutable(self):
         model, _ = spontaneous_emission_model(1.0)
         with pytest.raises(ValueError):
@@ -416,7 +428,7 @@ class TestPositivityGate:
             monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
             for lowest, certified in CERTIFICATE_EDGE:
                 states = np.array([_rotated_states(rng, dim, lowest) for _ in range(6)])
-                assert dynamics._scan_states(states)[1] is certified
+                assert dynamics._certified(states) is certified
                 if certified:
                     assert np.linalg.eigvalsh(states).min() >= dynamics.MIN_EIG_LIMIT
 
@@ -436,18 +448,19 @@ class TestPositivityGate:
                     want = True
                 except np.linalg.LinAlgError:
                     want = False
-                assert dynamics._scan_states(states)[1] is want
+                assert dynamics._certified(states) is want
         # a pivot of exactly 0 fails, as in LAPACK
         c = dynamics._POSITIVITY_SHIFT
         states = np.array([_rotated_states(rng, dim, 0.01) for _ in range(2 * chunk + 1)])
         states[-1] = np.diag([-c] + [(1.0 + c) / (dim - 1)] * (dim - 1))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(states + shift)
-        assert dynamics._scan_states(states)[1] is False
+        assert dynamics._certified(states) is False
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_herm_drift_bitwise_equal_to_both_triangle_max(self, rng, monkeypatch, dim):
-        # oracle: the largest |A - A^H| entry over both triangles of every state
+        # oracle: the largest |A - A^H| entry over both triangles of every
+        # state, read from the trajectory in chunks of 97 states
         monkeypatch.setattr(dynamics, "STATE_CHUNK", 97)
         model = LindbladModel(
             hamiltonian=random_hermitian(rng, dim),
@@ -455,13 +468,17 @@ class TestPositivityGate:
         )
         traj = evolve(model, random_state(rng, dim), 0.3, 1e-3)
         assert len(traj.states) >= dynamics.SWEEP_MIN_STATES
+        assert "herm_drift" not in traj.__dict__
         want = np.abs(traj.states - traj.states.conj().transpose(0, 2, 1)).max()
         assert np.float64(traj.herm_drift).tobytes() == want.tobytes()
         skewed = traj.states + 1e-9 * random_complex_matrix(rng, dim)
         want = np.abs(skewed - skewed.conj().transpose(0, 2, 1)).max()
         for min_states in (0, 10**9):
             monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
-            assert np.float64(dynamics._scan_states(skewed)[0]).tobytes() == want.tobytes()
+            traj = self._evolve_on(monkeypatch, skewed)
+            assert "herm_drift" not in traj.__dict__
+            assert np.float64(traj.herm_drift).tobytes() == want.tobytes()
+            assert traj.herm_drift is traj.herm_drift
 
     def test_successful_evolve_makes_no_eigvalsh_call(self, monkeypatch):
         calls = []
@@ -522,17 +539,18 @@ class TestPositivityGate:
     def test_herm_drift_is_non_finite_with_any_non_finite_entry(
         self, rng, monkeypatch, bad, where
     ):
-        # the finiteness check reads the hermiticity pass: a non-finite entry,
-        # diagonal or not, must make that pass non-finite, in either layout
+        # a non-finite entry, diagonal or not, in either triangle, fails the
+        # certificate under either kernel, and the gate then names its state
         states = np.array([_rotated_states(rng, 3, 0.01) for _ in range(4)])
         for min_states in (0, 10**9):
             monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
-            assert np.isfinite(dynamics._scan_states(states)[0])
+            assert dynamics._certified(states) is True
         states[2][where] = bad
         for min_states in (0, 10**9):
             monkeypatch.setattr(dynamics, "SWEEP_MIN_STATES", min_states)
-            with np.errstate(invalid="ignore"):
-                assert not np.isfinite(dynamics._scan_states(states)[0])
+            assert dynamics._certified(states) is False
+            with pytest.raises(IntegrationQualityError, match=r"non-finite state .*\(step 2\)"):
+                self._evolve_on(monkeypatch, states)
 
     @pytest.mark.parametrize("n", [1, 9])
     def test_gate_never_writes_to_the_states(self, rng, monkeypatch, n):

@@ -125,6 +125,30 @@ class TestOneTrajectory:
             assert len(calls) == 1
             assert calls.pop()[2:] == (0.137, self.DT)
 
+    def test_fidelity_read_against_the_integrated_start(self):
+        # pure_state accepts a norm 1 +- 1e-12; the trajectory starts from
+        # psi0 / |psi0|, and the fidelity must be read against that start
+        model, psi0 = verify.random_model(np.random.default_rng(3), 3)
+        grid, dt = verify.FISHER_T_GRID, verify.FISHER_DT
+        want = fisher.verify_fisher_tradeoff(model, psi0, grid, dt)
+        for scale in (1.0 - 9.99e-13, 1.0 + 9.99e-13):
+            got = fisher.verify_fisher_tradeoff(model, scale * psi0, grid, dt)
+            for g, w in zip(got, want):
+                assert g.qfi_estimate == pytest.approx(w.qfi_estimate, rel=1e-11, abs=0.0)
+
+    def test_no_hermiticity_pass(self, monkeypatch):
+        calls = []
+        original = linalg.hermiticity_deviation
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return original(m)
+
+        model, psi0 = verify.random_model(np.random.default_rng(5), 4)
+        monkeypatch.setattr(linalg, "hermiticity_deviation", counting)
+        fisher.verify_fisher_tradeoff(model, psi0, self.GRID, self.DT)
+        assert calls == []
+
     def test_matches_one_evolve_per_point(self):
         rng = np.random.default_rng(11)
         for index in range(24):

@@ -134,6 +134,13 @@ class TestHermiticityDeviation:
         m = np.diag([0.5j, 1.0]).astype(complex)
         assert linalg.hermiticity_deviation(m) == 1.0
 
+    def test_stack_reads_the_largest_over_its_matrices(self, rng):
+        for dim in (1, 2, 3, 5):
+            stack = np.array([random_complex_matrix(rng, dim) for _ in range(7)])
+            want = max(linalg.hermiticity_deviation(m) for m in stack)
+            assert linalg.hermiticity_deviation(stack) == want
+            assert linalg.hermiticity_deviation(stack.reshape(7, 1, dim, dim)) == want
+
 
 class TestNormIdentities:
     def test_parallelogram_with_cross_term(self, rng):
@@ -164,6 +171,15 @@ class TestStateValidation:
     def test_pure_state_rejects_denormalized(self):
         with pytest.raises(ValueError):
             linalg.pure_state(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_pure_state_rejects_non_finite(self, bad):
+        # abs(nan - 1) > tol is False, so the norm test alone lets NaN through
+        for where in (0, 1):
+            psi = np.array([1.0, 0.0], dtype=complex)
+            psi[where] = bad
+            with pytest.raises(ValueError, match="state vector has a non-finite entry"):
+                linalg.pure_state(psi)
 
     def test_pure_state_rejects_empty(self):
         with pytest.raises(DimensionMismatchError):

@@ -351,3 +351,27 @@ class TestLowerBound:
     def test_never_exceeds_t_qsl(self, v, e, theta):
         q = make_q(v, e)
         assert qsl.qsl_lower_bound(q, theta) <= qsl.t_qsl(q, theta) + 1e-12
+
+
+BOUND_HELPERS = [
+    lambda theta: qsl.qsl_lower_bound(make_q(1.0, 1.0), theta),
+    lambda theta: qsl.t_qsl_strong_decoherence(make_q(1.0, 1.0), theta),
+    lambda theta: qsl.f_ratio(2.0, theta),
+]
+
+
+class TestBoundHelperTargetDomain:
+    # the helpers accept [0, pi/2], t_qsl's domain with theta = 0 added
+    @pytest.mark.parametrize("helper", BOUND_HELPERS)
+    @pytest.mark.parametrize(
+        "theta",
+        [math.nan, -0.3, -1e-300, -math.inf, np.nextafter(np.pi / 2, 4.0), 2.0, 3.0, 7.0, math.inf],
+    )
+    def test_rejects_target_outside_domain(self, helper, theta):
+        with pytest.raises(ValueError, match=r"outside \[0, pi/2\]"):
+            helper(theta)
+
+    @pytest.mark.parametrize("helper", BOUND_HELPERS)
+    def test_accepts_domain_ends(self, helper):
+        assert helper(0.0) == 0.0
+        assert helper(np.pi / 2) > 0.0
