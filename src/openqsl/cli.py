@@ -259,6 +259,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
                 "name": r.name,
                 "checked": r.checked,
                 "passed": r.passed,
+                "skipped": r.skipped,
                 "worst_margin": r.worst_margin,
                 "violations": r.violations,
             }
@@ -271,7 +272,8 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     _write_sidecar(path, cfg, args.seed, cfg.dt or 1e-3)
     for r in results:
         status = "pass" if r.passed else "FAIL"
-        print(f"{status} {r.name}: {r.checked} checks, worst margin {r.worst_margin:.3e}")
+        skipped = "".join(f", {n} skipped ({reason})" for reason, n in r.skipped.items())
+        print(f"{status} {r.name}: {r.checked} checks{skipped}, worst margin {r.worst_margin:.3e}")
     return 0 if report["all_passed"] else 3
 
 

@@ -4,9 +4,8 @@ The generator A is time independent, so the classical RK4 step of size h
 applied to the linear master equation equals the degree-4 Taylor
 polynomial P(h) = sum_k (hA)^k / k! of the step propagator. For small
 dimensions the integrator builds P once as a dense d^2 x d^2
-superoperator, together with its powers P^2 ... P^B. It advances every
-B-th state by P^B and fills the B - 1 states in between with one
-matrix-matrix product.
+superoperator and fills a trajectory of n steps by repeated squaring, in
+O(log n + n/b) products of up to b states each (``_propagate``).
 
 All other steps, of any size tau, are taken from the Taylor terms
 T_k = A^k v / k! (k = 0..4) of the state v it starts from, as
@@ -45,19 +44,23 @@ FIRST_PASSAGE_RESOLUTION = 1e-8
 # included, beats stepping by four lindblad_rhs calls on a 1000-step
 # trajectory (measured).
 SUPEROP_DIM_LIMIT = 24
-# Steps per block on the superoperator path for a 1024-step trajectory, by
-# dimension (measured); 1 for dimensions not listed. Building B powers costs
-# about B d^6 and advancing the block starts about (n/B) d^4 plus a Python
-# call each, so the best B grows like sqrt(n) and other lengths scale it.
-BLOCK_STEPS = {
-    2: 256, 3: 64, 4: 32, 5: 32, 6: 16, 7: 8, 8: 8,
-    9: 8, 10: 8, 11: 4, 12: 4, 13: 2, 14: 2, 15: 2, 16: 2,
-}
-# Shorter trajectories go step by step: there the fixed cost of the blocked
-# fill, a dozen array calls, outweighs the steps it saves (measured).
-BLOCK_MIN_STEPS = 32
-# Cap on the entries B d^4 of the stacked propagator powers (16 MiB).
-POWER_ENTRY_CAP = 2**20
+# Largest span of a state, the steps since its last rescaled ancestor; the
+# trace rounding of P^m grows like m. On verify's 300 bound_dominance runs
+# the largest trace error was 2.3e-13, 4.5e-13 and 8.4e-13 at 1024, 2048 and
+# 4096, and at 1024 _propagate took 4-34% longer at d = 2..8 (measured).
+SPAN = 2048
+# Cost model of _chunk_steps, in complex multiply-adds (about 0.1 ns each).
+# A product of m states with a d^2 x d^2 matrix costs CALL_COST (3 us) +
+# (m + PACK_ROWS) d^4, as OpenBLAS copies the matrix on every call, and of
+# one state GEMV_ROWS d^4. Measured at d = 12: 8.4 us for 1 state, 34 us for
+# 4, 105 us for 32; at d = 24: 131 us, 382 us, 1.3 ms.
+CALL_COST = 30_000
+PACK_ROWS = 10
+GEMV_ROWS = 3
+# Cap on the entries b d^2 of a chunk (256 KiB), to stay in cache: within
+# 10% of the best of 2^12 ... 2^17 at d = 2..8, n = 12 000; 2^17 was 8-42%
+# slower (measured).
+CHUNK_ENTRIES = 2**14
 # Cap on the bytes of a trajectory's stored states, (n + 1) d^2 complex
 # entries (1 GiB), checked before they are allocated.
 TRAJECTORY_BYTE_CAP = 2**30
@@ -179,11 +182,9 @@ class Trajectory:
     and ``min_eigs`` are per-state diagnostics; ``trace_drift`` / ``min_eig``
     are their worst values over the run. ``trace_errors[k]`` is |Tr - 1| of
     state k as computed, before any rescaling. A state whose error exceeds
-    1e-12 is rescaled by its trace, and ``renormalizations`` counts those
-    states, so a silently misbehaving integrator shows up in the report.
-    On the blocked superoperator path every block start is rescaled to unit
-    trace and the states after it are powers of the step map applied to it,
-    so an error is the drift accumulated over at most B steps.
+    1e-12 is rescaled by its trace before any state is computed from it,
+    and ``renormalizations`` counts those states, so a silently misbehaving
+    integrator shows up in the report. An error is the drift of <= SPAN steps.
 
     ``min_eigs[k]`` is the lowest eigenvalue of state k from
     ``np.linalg.eigvalsh`` (lower triangle). ``evolve`` certifies positivity
@@ -278,97 +279,90 @@ def _rk4_propagator(a: np.ndarray, h: float) -> np.ndarray:
     return prop
 
 
-def _block_size(d: int, n_steps: int) -> int:
-    """Steps B advanced per block on the superoperator path (1 = step by step)."""
-    if d not in BLOCK_STEPS or n_steps < BLOCK_MIN_STEPS:
-        return 1
-    b = round(BLOCK_STEPS[d] * math.sqrt(n_steps / 1024))
-    return max(1, min(b, n_steps, POWER_ENTRY_CAP // d**4))
+def _chunk_steps(d: int, n_steps: int) -> int:
+    """Chunk length b, a power of two, of least modeled cost for n_steps
+    steps: log2(b) squarings of d^6 and products of 1, 2, ..., b/2 states,
+    then one of b states per chunk; b = 1 is a matrix-vector product a step."""
+    d4 = d**4
+    gemv, square = CALL_COST + GEMV_ROWS * d4, CALL_COST + d4 * d * d
+    best, least = 1, n_steps * gemv
+    b, doubling = 2, gemv + square
+    top = min(n_steps, SPAN, CHUNK_ENTRIES // (d * d))
+    while b <= top:
+        chunk = CALL_COST + (b + PACK_ROWS) * d4
+        cost = doubling + -(-(n_steps + 1 - b) // b) * chunk
+        if cost < least:
+            best, least = b, cost
+        doubling += chunk + square
+        b *= 2
+    return best
 
 
-def _propagator_powers(prop: np.ndarray, b: int) -> np.ndarray:
-    """[P; P^2; ...; P^b] stacked as one b*d^2 x d^2 matrix, by doubling."""
-    d2 = prop.shape[0]
-    powers = np.empty((b * d2, d2), dtype=complex)
-    powers[:d2] = prop
-    k = 1
-    while k < b:
-        m = min(k, b - k)
-        np.matmul(
-            powers[: m * d2],
-            powers[(k - 1) * d2 : k * d2],
-            out=powers[k * d2 : (k + m) * d2],
-        )
-        k += m
-    return powers
-
-
-def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float):
+def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float, checked=False):
     """March n_steps of size h; returns (states, trace_errors, n_renorm).
 
-    Every stored state whose trace is off by more than RENORM_THRESHOLD is
-    rescaled by its trace; ``trace_errors`` holds the error measured before
-    that rescaling and ``n_renorm`` counts the rescaled states.
+    States are rows. While ``_chunk_steps`` says it pays, the states [0, b)
+    give [b, 2b) in one product with (P^b)^T, and P^2b = (P^b)^2; then each
+    chunk of b states gives the next (b = 1 and the Taylor step above
+    SUPEROP_DIM_LIMIT). State 0, and each chunk that would pass on a span
+    over SPAN, is rescaled by its trace before it is advanced. The states up
+    to it, and at the end the rest, are measured, those off by more than
+    RENORM_THRESHOLD rescaled; ``trace_errors`` holds the errors before any
+    rescaling and ``n_renorm`` counts those. If there are any, the march is
+    taken again ``checked``: each source chunk is measured before it is
+    advanced, so no state comes from a drifting one.
     """
     d = model.dim
-    d2 = d * d
-    flat = np.empty((n_steps + 1, d2), dtype=complex)
+    flat = np.empty((n_steps + 1, d * d), dtype=complex)
+    real = flat.view(float)
+    unit = np.eye(d, dtype=complex).reshape(-1).view(float)
     trace_errors = np.empty(n_steps + 1)
-    diag = np.arange(d) * (d + 1)
+    measured = 0
 
-    # States are rows, so state k+m is state k times (P^m)^T. Block starts
-    # k = 0, B, 2B, ... advance one after another, B steps at a time; the
-    # B - 1 states after each start then come from one product with the
-    # stacked powers. A trajectory costs O(n/B) Python-level calls.
-    if d <= SUPEROP_DIM_LIMIT:
-        b = _block_size(d, n_steps)
-        powers = _propagator_powers(_rk4_propagator(model.liouvillian, h), b)
-        step_b = powers[(b - 1) * d2 :]
+    def measure(hi: int) -> None:
+        # Record the errors of [measured, hi) and rescale the drifting states.
+        nonlocal measured
+        traces = real[measured:hi] @ unit
+        trace_errors[measured:hi] = errs = np.abs(traces - 1.0)
+        if errs.max(initial=0.0) > RENORM_THRESHOLD:
+            drift = errs > RENORM_THRESHOLD
+            real[measured:hi][drift] *= (1.0 / traces[drift])[:, None]
+        measured = hi
 
-        def advance(v):
-            return step_b @ v
+    def rescale(lo: int, hi: int) -> None:
+        real[lo:hi] *= (1.0 / (real[lo:hi] @ unit))[:, None]
 
-    else:
-        b = 1
+    superop = d <= SUPEROP_DIM_LIMIT
+    limit = _chunk_steps(d, n_steps) if superop else 1
+    step = _rk4_propagator(model.liouvillian, h).T if superop else None
+    flat[0] = rho0.reshape(-1)
+    measure(1)
+    rescale(0, 1)
+    # States [0, s) are filled; the newest chunk, [s - b, s), has spans <= span.
+    b, span, s = 1, 0, 1
+    while s <= n_steps:
+        m = min(b, n_steps + 1 - s)
+        if span + b > SPAN:
+            measure(s)
+            rescale(max(s - b, 1), s)
+            span = 0
+        elif checked:
+            measure(s)
+        src, out = flat[s - b : s - b + m], flat[s : s + m]
+        if superop:
+            np.matmul(src, step, out=out)
+        else:
+            out[:] = _partial_steps(_taylor_terms(model, src), h)
+        s += m
+        span += b
+        if s == 2 * b <= n_steps and 2 * b <= min(limit, SPAN):
+            step = step @ step
+            b *= 2
 
-        def advance(v):
-            return _partial_steps(_taylor_terms(model, v[None]), h)[0]
-
-    n_renorm = 0
-    v = rho0.reshape(-1)
-    for k in range(0, n_steps + 1, b):
-        if k:
-            v = advance(flat[k - b])
-        tr = float(v[diag].real.sum())
-        err = abs(tr - 1.0)
-        trace_errors[k] = err
-        n_renorm += err > RENORM_THRESHOLD
-        # The states of a block inherit the drift of its start, so with
-        # blocks a start is rescaled even below the threshold.
-        if err > RENORM_THRESHOLD or b > 1:
-            v = v / tr
-        flat[k] = v
-
-    if b > 1:
-        fill = powers[: (b - 1) * d2].T
-        n_full = n_steps // b
-        blocks = flat[1 : n_full * b + 1].reshape(n_full, b * d2)
-        np.matmul(flat[: n_full * b : b], fill, out=blocks[:, : (b - 1) * d2])
-        tail = n_steps - n_full * b
-        if tail:
-            np.matmul(
-                flat[n_full * b], fill[:, : tail * d2], out=flat[n_full * b + 1 :].reshape(-1)
-            )
-        # The starts were checked above; now the states between them.
-        traces = flat[:, diag].real.sum(axis=1)
-        errs = np.abs(traces - 1.0)
-        errs[::b] = trace_errors[::b]
-        drift = errs > RENORM_THRESHOLD
-        drift[::b] = False
-        trace_errors = errs
-        if drift.any():
-            flat[drift] /= traces[drift, None]
-            n_renorm += int(drift.sum())
+    measure(n_steps + 1)
+    n_renorm = int(np.count_nonzero(trace_errors > RENORM_THRESHOLD))
+    if n_renorm and not checked:
+        return _propagate(model, rho0, n_steps, h, checked=True)
     return flat.reshape(n_steps + 1, d, d), trace_errors, n_renorm
 
 
@@ -428,11 +422,14 @@ def _min_eigs(states: np.ndarray) -> np.ndarray:
 # column, about d^3 m / 3 entries in all, where LAPACK keeps each matrix in
 # cache: above SWEEP_DIM_LIMIT LAPACK's batched zpotrf is faster. Below
 # SWEEP_MIN_STATES states the fixed cost of the sweep's 7d calls outweighs
-# one LAPACK call per state. Both limits were measured with 8192-state
-# chunks: at d = 8 the sweep won on 1001 states but lost 15% on 8192, and
-# 256 states is the shortest stack on which it wins at every d = 2..7.
+# one LAPACK call per state. SWEEP_DIM_LIMIT was measured with 2048-state
+# chunks on 1001 and 12 001 states: the sweep won at d = 8 in one process
+# (8/10, 7/10 alternating rounds) and in fresh ones (8/8, 5/8), lost at
+# d = 9 on 12 001 states in fresh processes (2/8) and at d >= 11 in all.
+# SWEEP_MIN_STATES was measured with 8192-state chunks: 256 states is the
+# shortest stack on which the sweep wins at every d = 2..7.
 _POSITIVITY_SHIFT = -MIN_EIG_LIMIT * (1.0 - 1e-6)
-SWEEP_DIM_LIMIT = 7
+SWEEP_DIM_LIMIT = 8
 SWEEP_MIN_STATES = 256
 
 
@@ -539,7 +536,6 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     if dt > t_end * (1.0 + 1e-12):
         raise ValueError("dt must not exceed t_end")
 
-    psi0 = psi0 / np.linalg.norm(psi0)
     rho0 = linalg.projector(psi0)
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps

@@ -72,7 +72,9 @@ def hermiticity_deviation(m: np.ndarray) -> float:
 
 
 def pure_state(amplitudes) -> np.ndarray:
-    """Validate a normalized state vector; returns it as a complex ndarray."""
+    """Validate a state vector of norm 1 within STATE_NORM_TOL; returns it
+    divided by its norm, as a complex ndarray, so that every caller works
+    on the same unit vector."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size < 1:
         raise DimensionMismatchError("state vector is empty")
@@ -80,7 +82,7 @@ def pure_state(amplitudes) -> np.ndarray:
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond {STATE_NORM_TOL:g}")
-    return psi
+    return psi / nrm
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

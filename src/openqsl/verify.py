@@ -36,12 +36,14 @@ FISHER_DT = 1e-4
 
 @dataclass
 class PropertyResult:
-    """Outcome of one randomized suite."""
+    """Outcome of one randomized suite. ``skipped`` counts the drawn
+    instances that could not be checked, by reason."""
 
     name: str
     checked: int = 0
     worst_margin: float = math.inf
     violations: list = field(default_factory=list)
+    skipped: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -54,6 +56,10 @@ class PropertyResult:
         self.worst_margin = min(self.worst_margin, margin)
         if violated:
             self.violations.append({**repro, "margin": margin})
+
+    def skip(self, reason: str) -> None:
+        """Count one instance that could not be checked, for ``reason``."""
+        self.skipped[reason] = self.skipped.get(reason, 0) + 1
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, norm: float) -> np.ndarray:
@@ -95,6 +101,7 @@ def bound_dominance(
             try:
                 t_fp = first_passage_time(traj, target)
             except UnreachableTargetError:
+                result.skip("unreachable_target")
                 continue
             bound = qsl.t_qsl(quantities, target)
             margin = t_fp - bound

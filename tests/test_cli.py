@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import warnings
 
@@ -174,6 +175,18 @@ class TestExitCodes:
         assert cli.main(["verify", "--output", str(tmp_path / "verify.json")]) == 3
         assert '"all_passed": false' in (tmp_path / "verify.json").read_text()
 
+
+    def test_skipped_checks_reach_report_and_console(self, tmp_path, monkeypatch, capsys):
+        result = PropertyResult("stub")
+        result.record(0.5, False)
+        for _ in range(3):
+            result.skip("unreachable_target")
+        monkeypatch.setattr(verify, "run_all", lambda **kwargs: [result])
+        assert cli.main(["verify", "--output", str(tmp_path / "verify.json")]) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["properties"][0]["skipped"] == {"unreachable_target": 3}
+        out = capsys.readouterr().out
+        assert out == "pass stub: 1 checks, 3 skipped (unreachable_target), worst margin 5.000e-01\n"
 
 @pytest.mark.parametrize("command", ["qsl", "fig1a", "scaling", "qfi", "evolve"])
 def test_repeated_runs_are_byte_identical(tmp_path, command):

@@ -279,71 +279,191 @@ class TestBlockedPropagation:
         )
         return model, linalg.projector(random_state(rng, dim))
 
-    def test_block_size_rule(self):
-        assert dynamics._block_size(2, 1024) == dynamics.BLOCK_STEPS[2]
-        assert dynamics._block_size(4, 4 * 1024) == 2 * dynamics.BLOCK_STEPS[4]
-        assert dynamics._block_size(2, dynamics.BLOCK_MIN_STEPS - 1) == 1
-        assert dynamics._block_size(max(dynamics.BLOCK_STEPS) + 1, 10**6) == 1
-        for dim in dynamics.BLOCK_STEPS:
-            for n in (32, 33, 1000, 12_000, 10**7):
-                b = dynamics._block_size(dim, n)
-                assert 1 <= b <= n
-                assert b == 1 or b * dim**4 <= dynamics.POWER_ENTRY_CAP
+    def test_chunk_steps_rule(self):
+        rule = dynamics._chunk_steps
+        for dim in range(1, dynamics.SUPEROP_DIM_LIMIT + 1):
+            for n in (1, 2, 31, 100, 1000, 12_000, 10**7):
+                b = rule(dim, n)
+                assert b & (b - 1) == 0
+                assert 1 <= b <= max(1, min(n, dynamics.SPAN))
+                assert b == 1 or b * dim * dim <= dynamics.CHUNK_ENTRIES
+        # doubling pays on long small-dimension runs, not on short wide ones
+        assert rule(2, 12_000) == dynamics.SPAN
+        assert rule(24, 100) == 1
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_matches_per_step_reference(self, rng, monkeypatch, dim):
+        # doubling as the rule says, stopped at 1, 2, 4 and never; n on both
+        # sides of each doubling up to 512 steps and, with SPAN = 64, across
+        # span boundaries
         model, rho0 = self._model_and_start(rng, dim)
         h = 1e-3
-        for b in sorted({1, 2, 7, dynamics._block_size(dim, 1024)}):
-            monkeypatch.setattr(dynamics, "_block_size", lambda d, n, b=b: min(b, n))
-            ref = [rho0]
-            for _ in range(3 * b + 5):
-                ref.append(four_stage_step(model, ref[-1], h))
-            for n in sorted({1, max(b - 1, 1), b, b + 1, 3 * b + 5}):
-                states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
-                assert states.shape == (n + 1, dim, dim)
-                np.testing.assert_allclose(states, np.array(ref[: n + 1]), rtol=0.0, atol=1e-12)
-                assert n_renorm == 0
-                assert trace_errors.max() <= dynamics.RENORM_THRESHOLD
+        ref = [rho0]
+        for _ in range(773):
+            ref.append(four_stage_step(model, ref[-1], h))
+        ref = np.array(ref)
+        rule = dynamics._chunk_steps
+        lengths = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 53, 63, 64, 65, 101, 127, 128, 129)
+        lengths += (197, 200, 255, 256, 257, 511, 512, 513, 773)
+        for span in (dynamics.SPAN, 64):
+            monkeypatch.setattr(dynamics, "SPAN", span)
+            for limit in (None, 1, 2, 4, 10**9):
+                monkeypatch.setattr(
+                    dynamics, "_chunk_steps", rule if limit is None else lambda d, n, b=limit: b
+                )
+                for n in lengths:
+                    states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
+                    assert states.shape == (n + 1, dim, dim)
+                    np.testing.assert_allclose(states, ref[: n + 1], rtol=0.0, atol=1e-12)
+                    assert n_renorm == 0
+                    assert trace_errors.max() <= dynamics.RENORM_THRESHOLD
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     @pytest.mark.parametrize("path", ["superoperator", "four_stage"])
     def test_renormalization_count(self, rng, monkeypatch, dim, path):
         # only the start is off; the dynamics preserve the trace, so one
-        # rescale fixes every later state, block starts and in-between alike
+        # rescale fixes every later state, rescaled chunks and others alike
         if path == "four_stage":
             monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+        n = {2: 773, 4: 101, 6: 53}[dim]
         model, rho0 = self._model_and_start(rng, dim)
         rho0 = (1.0 + 1e-9) * rho0
-        n = 3 * dynamics._block_size(dim, 1024) + 5
-        states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, 1e-3)
-        assert n_renorm == 1
-        assert trace_errors[0] == pytest.approx(1e-9, rel=1e-6)
-        assert trace_errors[1:].max() <= dynamics.RENORM_THRESHOLD
-        traces = np.trace(states, axis1=1, axis2=2).real
-        assert np.abs(traces - 1.0).max() <= dynamics.RENORM_THRESHOLD
+        for span in (dynamics.SPAN, 64, 16):
+            monkeypatch.setattr(dynamics, "SPAN", span)
+            states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, 1e-3)
+            assert n_renorm == 1
+            assert trace_errors[0] == pytest.approx(1e-9, rel=1e-6)
+            assert trace_errors[1:].max() <= dynamics.RENORM_THRESHOLD
+            traces = np.trace(states, axis1=1, axis2=2).real
+            assert np.abs(traces - 1.0).max() <= dynamics.RENORM_THRESHOLD
+
+    @pytest.mark.parametrize("path", ["superoperator", "four_stage"])
+    def test_start_below_the_threshold_is_rescaled(self, rng, monkeypatch, path):
+        # a start off by 5e-13 is not counted, but it is rescaled before it
+        # is advanced, so no later state inherits its error
+        if path == "four_stage":
+            monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+        model, rho0 = self._model_and_start(rng, 4)
+        rho0 = (1.0 + 5e-13) * rho0
+        states, trace_errors, n_renorm = dynamics._propagate(model, rho0, 101, 1e-3)
+        assert n_renorm == 0
+        assert trace_errors[0] == pytest.approx(5e-13, rel=1e-2, abs=0.0)
+        assert trace_errors[1:].max() < 1e-13
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_every_drifting_state_is_rescaled(self, rng, monkeypatch, dim):
         # a step map that gains 1e-10 of trace per step: every state after
-        # the first drifts past the threshold, block starts and in-between
-        # states alike, and must come back to the rescaled exact chain
-        original = dynamics._rk4_propagator
-        monkeypatch.setattr(
-            dynamics, "_rk4_propagator", lambda a, h: (1.0 + 1e-10) * original(a, h)
-        )
+        # the first drifts past the threshold, rescaled chunks and others
+        # alike, and must come back to the rescaled exact chain; each is
+        # rescaled before it is advanced, so an error is the drift over the
+        # b steps from its source
         model, rho0 = self._model_and_start(rng, dim)
         h = 1e-3
-        n = 3 * dynamics._block_size(dim, 1024) + 5
-        states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
-        assert n_renorm == n
-        assert trace_errors[1:].min() > dynamics.RENORM_THRESHOLD
+        n = {2: 773, 4: 101, 6: 53}[dim]
         ref = [rho0]
         for _ in range(n):
             ref.append(four_stage_step(model, ref[-1], h))
         ref = np.array(ref)
         ref /= np.trace(ref, axis1=1, axis2=2)[:, None, None]
-        np.testing.assert_allclose(states, ref, rtol=0.0, atol=1e-12)
+        for path in ("superoperator", "four_stage"):
+            monkeypatch.undo()
+            if path == "superoperator":
+                original = dynamics._rk4_propagator
+                monkeypatch.setattr(
+                    dynamics, "_rk4_propagator", lambda a, h: (1.0 + 1e-10) * original(a, h)
+                )
+            else:
+                monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+                original = dynamics._partial_steps
+                monkeypatch.setattr(
+                    dynamics, "_partial_steps", lambda t, taus: (1.0 + 1e-10) * original(t, taus)
+                )
+            for span in (dynamics.SPAN, 64, 16):
+                monkeypatch.setattr(dynamics, "SPAN", span)
+                states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
+                assert n_renorm == n
+                assert trace_errors[1:].min() > dynamics.RENORM_THRESHOLD
+                b = dynamics._chunk_steps(dim, n) if path == "superoperator" else 1
+                assert trace_errors.max() == pytest.approx(b * 1e-10, rel=1e-4, abs=0.0)
+                np.testing.assert_allclose(states, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 6])
+    @pytest.mark.parametrize("path", ["superoperator", "four_stage"])
+    def test_span_caps_drift_below_the_threshold(self, rng, monkeypatch, dim, path):
+        # a step map that gains 1e-13 of trace per step would pass the
+        # threshold after 10 steps; no span is longer than SPAN = 8 steps, so
+        # no state drifts further than 8e-13
+        model, rho0 = self._model_and_start(rng, dim)
+        monkeypatch.setattr(dynamics, "SPAN", 8)
+        if path == "superoperator":
+            original = dynamics._rk4_propagator
+            monkeypatch.setattr(
+                dynamics, "_rk4_propagator", lambda a, h: (1.0 + 1e-13) * original(a, h)
+            )
+        else:
+            monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+            original = dynamics._partial_steps
+            monkeypatch.setattr(
+                dynamics, "_partial_steps", lambda t, taus: (1.0 + 1e-13) * original(t, taus)
+            )
+        states, trace_errors, n_renorm = dynamics._propagate(model, rho0, 773, 1e-3)
+        assert n_renorm == 0
+        assert trace_errors.max() == pytest.approx(8e-13, rel=1e-2, abs=0.0)
+
+    @pytest.mark.parametrize("path", ["superoperator", "four_stage"])
+    def test_small_drift_is_rescaled_before_it_is_advanced(self, rng, monkeypatch, path):
+        # one step at a time, a step map that gains 2e-15 of trace per step:
+        # each state whose drift passes the threshold is rescaled before the
+        # next step is taken from it, so the drift starts again from there
+        # and crosses the threshold once per 501 steps
+        model, rho0 = self._model_and_start(rng, 3)
+        monkeypatch.setattr(dynamics, "_chunk_steps", lambda d, n: 1)
+        if path == "superoperator":
+            original = dynamics._rk4_propagator
+            monkeypatch.setattr(
+                dynamics, "_rk4_propagator", lambda a, h: (1.0 + 2e-15) * original(a, h)
+            )
+        else:
+            monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
+            original = dynamics._partial_steps
+            monkeypatch.setattr(
+                dynamics, "_partial_steps", lambda t, taus: (1.0 + 2e-15) * original(t, taus)
+            )
+        states, trace_errors, n_renorm = dynamics._propagate(model, rho0, 1800, 1e-3)
+        assert n_renorm == 3
+        assert trace_errors.max() < dynamics.RENORM_THRESHOLD + 1e-14
+        traces = np.trace(states, axis1=1, axis2=2).real
+        assert np.abs(traces - 1.0).max() <= dynamics.RENORM_THRESHOLD
+
+    @pytest.mark.parametrize("dim, n", [(2, 12_000), (3, 1000), (6, 12_000), (12, 100)])
+    def test_products_per_trajectory(self, rng, monkeypatch, dim, n):
+        # log2(b) doubling products, then one per chunk of b states
+        rows = []
+        original = np.matmul
+
+        def counting(*args, **kwargs):
+            rows.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        model, rho0 = self._model_and_start(rng, dim)
+        monkeypatch.setattr(np, "matmul", counting)
+        dynamics._propagate(model, rho0, n, 1e-3)
+        b = dynamics._chunk_steps(dim, n)
+        assert len(rows) == b.bit_length() - 1 + -(-(n + 1 - b) // b)
+        assert sum(rows) == n and max(rows) <= b
+        if dim == 2:
+            assert b == dynamics.SPAN and len(rows) == 16
+
+    def test_long_random_runs_need_no_renormalization(self):
+        # the first 60 bound_dominance trajectories: no span is long enough
+        # for the rounding of the squared step map to reach RENORM_THRESHOLD
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            dim = int(rng.choice(verify.BOUND_DIMS))
+            model, psi0 = verify.random_model(rng, dim)
+            traj = evolve(model, psi0, 12.0, 1e-3)
+            assert traj.renormalizations == 0
+            assert traj.trace_drift <= dynamics.RENORM_THRESHOLD
 
     def test_liouvillian_built_once_per_fisher_check(self, rng, monkeypatch):
         from openqsl.fisher import verify_fisher_tradeoff

@@ -168,6 +168,14 @@ class TestStateValidation:
         out = linalg.pure_state(psi)
         assert out.dtype == complex
 
+    def test_pure_state_returns_the_unit_vector(self, rng):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        for scale in (1.0 - 9.99e-13, 1.0 + 9.99e-13):
+            out = linalg.pure_state(scale * psi)
+            assert abs(np.linalg.norm(out) - 1.0) <= 4e-16
+            np.testing.assert_allclose(out, psi, rtol=2e-15, atol=0.0)
+
     def test_pure_state_rejects_denormalized(self):
         with pytest.raises(ValueError):
             linalg.pure_state(np.array([1.0, 1.0]))

@@ -114,6 +114,29 @@ class TestComputeQuantities:
                 pytest.approx(gamma * unit.e_term, rel=1e-13, abs=0.0),
             )
 
+    def test_scalars_read_the_normalized_state(self):
+        # pure_state accepts a norm of 1 +- 1e-12 and evolve integrates
+        # psi0 / |psi0|; the scalars must describe that same state, so a
+        # rescaled psi0 moves them only by the rounding of the division
+        # (unnormalized, delta_h0, g and e moved by up to 2e-12 relative)
+        from openqsl import verify
+
+        scales = (1.0 - 9.99e-13, 1.0 + 9.99e-13)
+        model, psi0 = verify.random_model(np.random.default_rng(3), 3)
+        want = qsl.compute_quantities(model, psi0)
+        for scale in scales:
+            assert qsl.compute_quantities(model, scale * psi0) == want
+        for seed in range(10):
+            for dim in (2, 3, 4, 5, 6):
+                model, psi0 = verify.random_model(np.random.default_rng(seed), dim)
+                want = qsl.compute_quantities(model, psi0)
+                for scale in scales:
+                    got = qsl.compute_quantities(model, scale * psi0)
+                    for name in ("delta_h0", "g_term", "e_term", "v_coeff"):
+                        assert getattr(got, name) == pytest.approx(
+                            getattr(want, name), rel=1e-14, abs=0.0
+                        )
+
     def test_ratio_defined_only_with_fluctuation(self):
         closed = LindbladModel(hamiltonian=SIGMA_X)
         q = qsl.compute_quantities(closed, np.array([1, 0], dtype=complex))

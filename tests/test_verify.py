@@ -33,6 +33,11 @@ class TestBoundDominance:
         assert first.checked > 0
         assert first.worst_margin >= -verify.TRAJECTORY_TOL
 
+    def test_every_pair_is_checked_or_skipped(self):
+        result = verify.bound_dominance(seed=0, n_models=12, horizon=6.0, dt=1e-2)
+        assert result.skipped["unreachable_target"] > 0
+        assert result.checked + sum(result.skipped.values()) == 12 * len(verify.TARGETS)
+
     def test_undercut_bound_is_reported(self, monkeypatch):
         monkeypatch.setattr(verify.qsl, "t_qsl", lambda q, theta: 1e3)
         result = verify.bound_dominance(seed=1, n_models=3, horizon=6.0, dt=1e-2)
@@ -61,6 +66,14 @@ class TestRecord:
             result.record(margin, False)
         assert (result.checked, result.worst_margin) == (3, -0.25)
         assert result.passed
+
+    def test_skips_are_counted_by_reason(self):
+        result = PropertyResult("demo")
+        assert result.skipped == {}
+        for reason in ("a", "b", "a"):
+            result.skip(reason)
+        assert result.skipped == {"a": 2, "b": 1}
+        assert (result.checked, result.passed) == (0, True)
 
     def test_violation_keeps_key_order_with_margin_last(self):
         result = PropertyResult("demo")

@@ -1,0 +1,163 @@
+"""Layer timings of openqsl, the current checkout against a parent checkout.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/bench.py --parent <checkout> --rounds 6 --out BENCH_12.json
+
+Each round runs one fresh worker process per checkout, alternating which
+goes first, so that a slow phase of a shared machine hits both sides. A
+worker imports ``openqsl`` from ``src/`` of its checkout only and times:
+
+- ``dynamics._propagate`` and ``dynamics._certified`` (the quality gate's
+  per-state certificate) on one random model per dimension and step count
+  of ``GRID``, h = 1e-3; the median of repeated calls per cell;
+- every ``verify`` suite once at its default settings, and their sum.
+
+Without ``--parent`` only the current checkout runs. The output file holds
+every round's numbers, the medians per side, in how many rounds the change
+was faster, the ``src/`` line count of each checkout and the machine
+record of ``perfbench/environment.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import environment  # noqa: E402
+
+# (dimension, step counts) of the layer grid.
+GRID = (
+    *((d, (100, 1000, 12_000)) for d in (2, 3, 4, 5, 6, 8)),
+    *((d, (100, 1000)) for d in (12, 16, 20, 24)),
+    *((d, (1000,)) for d in (28, 32)),
+)
+STEP = 1e-3
+# Repeats of a cell: enough for about CELL_SECONDS, within REPEATS.
+CELL_SECONDS = 0.2
+REPEATS = (3, 15)
+SUITES = (
+    "bound_dominance",
+    "differential_dominance",
+    "fisher_tradeoff",
+    "log_inequality",
+    "lower_bound_ordering",
+)
+
+
+def _median_ms(fn) -> float:
+    t = time.perf_counter()
+    fn()
+    first = time.perf_counter() - t
+    repeats = max(REPEATS[0], min(REPEATS[1], int(CELL_SECONDS / max(first, 1e-9))))
+    times = []
+    for _ in range(repeats):
+        t = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t)
+    return 1e3 * statistics.median(times)
+
+
+def worker(checkout: str) -> dict:
+    """Timings of one checkout, in this process."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    sys.path.insert(0, src)
+    import numpy as np
+    from openqsl import dynamics, linalg, verify
+
+    out = {"layers": {}, "verify_s": {}}
+    for d, ns in GRID:
+        for n in ns:
+            model, psi0 = verify.random_model(np.random.default_rng([d, n]), d)
+            rho0 = linalg.projector(psi0 / np.linalg.norm(psi0))
+            states = dynamics._propagate(model, rho0, n, STEP)[0]
+            out["layers"][f"_propagate d={d} n={n}"] = _median_ms(
+                lambda: dynamics._propagate(model, rho0, n, STEP)
+            )
+            out["layers"][f"_certified d={d} n={n}"] = _median_ms(
+                lambda: dynamics._certified(states)
+            )
+    for name in SUITES:
+        t = time.perf_counter()
+        getattr(verify, name)()
+        out["verify_s"][name] = time.perf_counter() - t
+    out["verify_s"]["total"] = sum(out["verify_s"].values())
+    return out
+
+
+def _run_worker(checkout: str) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", checkout]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _summary(runs: dict) -> dict:
+    """Per timing: each side's rounds and median, and the rounds the change won."""
+    rows = {}
+    for side, results in runs.items():
+        for result in results:
+            for group in ("layers", "verify_s"):
+                for key, value in result[group].items():
+                    rows.setdefault(f"{group}/{key}", {}).setdefault(side, []).append(value)
+    for row in rows.values():
+        for side in list(row):
+            row[f"{side}_median"] = statistics.median(row[side])
+        if "parent" in row:
+            row["change_faster"] = sum(c < p for c, p in zip(row["change"], row["parent"]))
+            row["ratio"] = row["change_median"] / row["parent_median"]
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="root of the parent checkout")
+    parser.add_argument("--rounds", type=int, default=6)
+    parser.add_argument("--out", default="BENCH.json")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.worker:
+        print(json.dumps(worker(args.worker)))
+        return 0
+
+    sides = {"change": ROOT}
+    if args.parent:
+        sides["parent"] = os.path.abspath(args.parent)
+    runs = {side: [] for side in sides}
+    for r in range(args.rounds):
+        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            runs[side].append(_run_worker(sides[side]))
+            print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
+
+    record = {
+        "machine": environment.record(ROOT, os.path.join(ROOT, "src")),
+        "checkouts": {
+            side: {
+                "git_commit": environment.git_commit(path),
+                **environment.source_stats(os.path.join(path, "src")),
+            }
+            for side, path in sides.items()
+        },
+        "step": STEP,
+        "rounds": args.rounds,
+        "units": {"layers": "ms, median of repeated calls", "verify_s": "s, one run"},
+        "timings": _summary(runs),
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
