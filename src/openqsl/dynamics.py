@@ -132,8 +132,8 @@ def _dissipate(l, l_dag, ldl, rho):
 def adjoint_dissipator(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Heisenberg-picture adjoint: L^dag a L - {L^dag L, a}/2."""
     linalg._check_same_shape(l, a)
-    ldl = l.conj().T @ l
-    return l.conj().T @ a @ l - 0.5 * (ldl @ a + a @ ldl)
+    l_dag = l.conj().T
+    return _dissipate(l_dag, l, l_dag @ l, a)
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -148,29 +148,18 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two d x d matrices as one broadcast product.
-
-    Each entry is the same single product a[i, j] * b[k, l], so the result
-    is bitwise equal to np.kron, without its generic-shape overhead.
-    """
-    d = a.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
-
-
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Dense d^2 x d^2 superoperator acting on row-major vectorized states.
 
     Uses vec(A rho B) = (A kron B^T) vec(rho) for C-ordered flattening.
+    Above d = 64 raises ``ResourceLimitError`` (``KRON_DIM_CAP``) before allocating.
     """
     h = model.hamiltonian
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    a = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for op in model.lindblad_ops:
-        ldl = op.conj().T @ op
-        a += _kron(op, op.conj())
-        a -= 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
+    eye = np.eye(model.dim, dtype=complex)
+    a = -1j * (linalg.kron(h, eye) - linalg.kron(eye, h.T))
+    for l, _, ldl in model._jump_terms:
+        a += linalg.kron(l, l.conj())
+        a -= 0.5 * (linalg.kron(ldl, eye) + linalg.kron(eye, ldl.T))
     return a
 
 
@@ -639,22 +628,26 @@ def first_passage_time(traj: Trajectory, theta_target: float) -> float:
     return float(traj.times[idx - 1] + 0.5 * (lo + hi))
 
 
-def theta_dot_exact(
-    model: LindbladModel, rho0: np.ndarray, rho_t: np.ndarray, theta_t: float
-) -> float:
+def theta_dot_exact(model: LindbladModel, rho0: np.ndarray, rho_t, theta_t):
     """Exact instantaneous rate of the Bures angle along the dynamics.
 
-    Evaluates [Tr(i[rho0, H] rho_t) - sum_k Tr(rho_t D_k^dag rho0)] / sin(2 theta),
-    which is the time derivative of arccos(sqrt(Tr(rho0 rho_t))) under the
-    master equation. Singular at theta = 0 and pi/2 where sin(2 theta) = 0.
+    Evaluates Re Tr(W rho_t) / sin(2 theta) with W = i[rho0, H] - sum_k D_k^dag(rho0),
+    the time derivative of arccos(sqrt(Tr(rho0 rho_t))) under the master
+    equation. One state (d, d) with its angle gives a float; a stack
+    (m, d, d) with m angles gives m rates from one product with W. An angle
+    within 1e-6 of the singular points 0 and pi/2, or NaN, raises
+    ``SingularPointError`` naming it.
     """
-    if theta_t < 1e-6 or theta_t > np.pi / 2 - 1e-6:
+    theta_t = np.asarray(theta_t, dtype=float)
+    singular = ~((theta_t >= 1e-6) & (theta_t <= np.pi / 2 - 1e-6))
+    if singular.any():
         raise SingularPointError(
-            f"theta = {theta_t:.3e} is within 1e-6 of a singular endpoint"
+            f"theta = {theta_t[singular][0]:.3e} is within 1e-6 of a singular endpoint"
         )
-    num = float(
-        np.real(linalg.trace_product(1j * linalg.commutator(rho0, model.hamiltonian), rho_t))
-    )
-    for op in model.lindblad_ops:
-        num -= float(np.real(linalg.trace_product(rho_t, adjoint_dissipator(op, rho0))))
-    return num / float(np.sin(2.0 * theta_t))
+    w = 1j * linalg.commutator(rho0, model.hamiltonian)
+    for l, l_dag, ldl in model._jump_terms:
+        w -= _dissipate(l_dag, l, ldl, rho0)
+    if np.shape(rho_t) != theta_t.shape + w.shape:
+        raise DimensionMismatchError(f"states {np.shape(rho_t)} mismatch angles {theta_t.shape}")
+    num = (np.reshape(rho_t, theta_t.shape + (-1,)) @ w.T.reshape(-1)).real
+    return num / np.sin(2.0 * theta_t)

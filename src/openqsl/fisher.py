@@ -43,7 +43,7 @@ class FisherReport:
 
 def qfi_short_time(fidelity: float, t: float) -> float:
     """Curvature estimate 4(1 - F)/t^2 of the fidelity decay."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     if not (-1e-12 <= fidelity <= 1.0 + 1e-12):
         raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
@@ -53,7 +53,7 @@ def qfi_short_time(fidelity: float, t: float) -> float:
 
 def qfi_bound(q: QslQuantities, t: float) -> float:
     """Ceiling (v + sqrt(v^2 + 4 e / t))^2 on the Fisher information."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     root = math.sqrt(q.v_coeff**2 + 4.0 * q.e_term / t)
     return (q.v_coeff + root) ** 2
@@ -65,7 +65,7 @@ def log_inequality_margin(x: float) -> float:
     Vanishes like x^3/6 as x -> 0+, so tiny arguments produce tiny but
     still positive margins in float arithmetic.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("x must be positive")
     return x * (x + 2.0) / (2.0 * (1.0 + x)) - math.log1p(x)
 
@@ -86,7 +86,7 @@ def time_grid(t_grid) -> list[float]:
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid is empty")
-    if any(t <= 0.0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+    if not all(t > 0.0 for t in t_grid) or not all(b > a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be positive and strictly increasing")
     return t_grid
 

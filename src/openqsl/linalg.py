@@ -51,13 +51,12 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, refusing results above KRON_DIM_CAP."""
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > KRON_DIM_CAP:
-        raise ResourceLimitError(
-            f"kron result dimension {out_dim} exceeds dense cap {KRON_DIM_CAP}"
-        )
-    return np.kron(a, b)
+    """Kronecker product of two matrices, refusing results above KRON_DIM_CAP;
+    one broadcast product of the same entries a[i, j] * b[k, l], bitwise np.kron."""
+    (p, q), (r, s) = a.shape, b.shape
+    if p * r > KRON_DIM_CAP:
+        raise ResourceLimitError(f"kron result dimension {p * r} exceeds dense cap {KRON_DIM_CAP}")
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:

@@ -39,9 +39,9 @@ class DephasingQubitParams:
     theta: float
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError("omega must be positive")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")
         if not (0.0 <= self.theta <= math.pi):
             raise ValueError("theta must lie in [0, pi]")
@@ -59,9 +59,9 @@ class ProductModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError("omega must be positive")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")
         if not (0.0 <= self.theta <= math.pi):
             raise ValueError("theta must lie in [0, pi]")
@@ -92,7 +92,7 @@ def spontaneous_emission_model(gamma: float) -> tuple[LindbladModel, np.ndarray]
 def exact_emission_time(gamma: float, theta_target: float) -> float:
     """Closed-form first-passage time -ln(cos^2 Theta)/(gamma * decay rate)
     of the damping model; diverges as the target approaches pi/2."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     if not (0.0 < theta_target < math.pi / 2):
         raise ValueError(

@@ -132,7 +132,7 @@ def f_ratio(r: float, theta_target: float) -> float:
     Evaluates the full bound at v = r, e = 1, so the identity holds to
     rounding for every input.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("ratio must be positive")
     return r * _bound_integral(r, 1.0, _target_sine(theta_target))
 

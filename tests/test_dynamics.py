@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -29,7 +30,9 @@ from openqsl.models import (
     SIGMA_Y,
     SIGMA_Z,
     DephasingQubitParams,
+    ProductModelParams,
     dephasing_model,
+    product_model_dense,
     spontaneous_emission_model,
 )
 from openqsl.qsl import compute_quantities, t_qsl
@@ -258,6 +261,13 @@ class TestLiouvillianMatrix:
             h = float(rng.uniform(1e-4, 0.1))
             got = dynamics._rk4_propagator(a, h)
             assert got.tobytes() == dividing_reference(a, h).tobytes()
+
+    def test_dimension_over_kron_cap_raises_before_allocating(self):
+        # d = 65 gives d^2 = 4225 > KRON_DIM_CAP: the first Kronecker factor
+        # is refused instead of allocating 285 MB.
+        model = LindbladModel(hamiltonian=np.eye(65, dtype=complex))
+        with pytest.raises(ResourceLimitError):
+            liouvillian_matrix(model)
 
     def test_cached_on_model_and_read_only(self, rng):
         model = LindbladModel(
@@ -1209,3 +1219,49 @@ class TestThetaDotExact:
             theta_dot_exact(model, rho0, rho0, 1e-9)
         with pytest.raises(SingularPointError):
             theta_dot_exact(model, rho0, rho0, np.pi / 2 - 1e-9)
+
+    @staticmethod
+    def _preset_window(model, psi0, dt, t_end):
+        traj = evolve(model, psi0, t_end, dt)
+        ks = [k for k in range(1, len(traj.times)) if 0.05 < traj.bures_angles[k] < 1.5]
+        return traj, ks
+
+    @pytest.mark.parametrize("preset", ["emission", "dephasing", "product"])
+    def test_stack_matches_per_state_calls(self, preset):
+        model, psi0 = {
+            "emission": lambda: spontaneous_emission_model(1.0),
+            "dephasing": lambda: dephasing_model(
+                DephasingQubitParams(omega=1.0, gamma=1.0, theta=np.pi / 4)
+            ),
+            "product": lambda: product_model_dense(
+                ProductModelParams(n=3, omega=1.0, gamma=1.0, theta=np.pi / 4)
+            ),
+        }[preset]()
+        traj, ks = self._preset_window(model, psi0, 1e-2, 4.0)
+        assert len(ks) >= 50
+        stacked = theta_dot_exact(model, traj.rho0, traj.states[ks], traj.bures_angles[ks])
+        single = [theta_dot_exact(model, traj.rho0, traj.states[k], traj.bures_angles[k]) for k in ks]
+        assert all(isinstance(rate, float) for rate in single)
+        single = np.array(single)
+        assert stacked.shape == (len(ks),)
+        if preset == "emission":
+            # W is diagonal there, so both sums add the same two products.
+            assert stacked.tobytes() == single.tobytes()
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0.0)
+
+    def test_singular_angle_in_stack_is_named(self):
+        model, psi0 = spontaneous_emission_model(1.0)
+        traj, ks = self._preset_window(model, psi0, 1e-2, 2.0)
+        thetas = traj.bures_angles[ks].copy()
+        for bad in (1e-9, np.pi / 2 - 1e-9, np.nan):
+            thetas[7] = bad
+            with pytest.raises(SingularPointError, match=re.escape(f"theta = {bad:.3e} ")):
+                theta_dot_exact(model, traj.rho0, traj.states[ks], thetas)
+
+    def test_stack_length_must_match_angles(self):
+        model, psi0 = spontaneous_emission_model(1.0)
+        traj, ks = self._preset_window(model, psi0, 1e-2, 2.0)
+        with pytest.raises(DimensionMismatchError):
+            theta_dot_exact(model, traj.rho0, traj.states[ks], traj.bures_angles[ks][:-1])
+        with pytest.raises(DimensionMismatchError):
+            theta_dot_exact(model, traj.rho0, traj.states[ks], float(traj.bures_angles[ks[0]]))

@@ -104,6 +104,29 @@ class TestKron:
         out = linalg.kron(np.eye(64, dtype=complex), np.eye(64, dtype=complex))
         assert out.shape == (4096, 4096)
 
+    def test_bitwise_equal_to_numpy_on_model_pairs(self, rng):
+        # The pairs models._site_operator builds for up to 6 qubits:
+        # 2^s x 2^s with a 2 x 2 site operator, then with 2^r x 2^r.
+        for s in range(6):
+            for r in range(6 - s):
+                for a, b in (
+                    (random_complex_matrix(rng, 2**s), random_complex_matrix(rng, 2)),
+                    (random_complex_matrix(rng, 2 ** (s + 1)), random_complex_matrix(rng, 2**r)),
+                ):
+                    got, want = linalg.kron(a, b), np.kron(a, b)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    def test_bitwise_equal_to_numpy_on_rectangular_pairs(self, rng):
+        for _ in range(50):
+            p, q, r, s = rng.integers(1, 9, size=4)
+            a = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+            b = rng.normal(size=(r, s))
+            for x, y in ((a, b), (b, a)):
+                got, want = linalg.kron(x, y), np.kron(x, y)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_associativity(self, rng):
         a = random_complex_matrix(rng, 2)
         b = random_complex_matrix(rng, 3)

@@ -1,3 +1,5 @@
+import pytest
+
 import openqsl
 
 # Every public name of the package. A helper that no module calls should not
@@ -53,3 +55,33 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(openqsl.__all__) == PUBLIC_NAMES
     assert all(hasattr(openqsl, name) for name in PUBLIC_NAMES)
+
+
+NAN = float("nan")
+_QUANTITIES = openqsl.QslQuantities.from_terms(1.0, 1.0, 1.0)
+_EMISSION = openqsl.spontaneous_emission_model(1.0)[0]
+_RHO = openqsl.projector([1.0, 0.0])
+
+# One NaN argument of each public guard that once let it through; each must
+# raise the error that guard raises for a finite bad value.
+NAN_ARGUMENTS = {
+    "theta_dot_exact": lambda: openqsl.theta_dot_exact(_EMISSION, _RHO, _RHO, NAN),
+    "qfi_short_time": lambda: openqsl.qfi_short_time(0.5, NAN),
+    "qfi_bound": lambda: openqsl.qfi_bound(_QUANTITIES, NAN),
+    "log_inequality_margin": lambda: openqsl.log_inequality_margin(NAN),
+    "f_ratio": lambda: openqsl.f_ratio(NAN, 0.5),
+    "exact_emission_time": lambda: openqsl.exact_emission_time(NAN, 0.5),
+    "DephasingQubitParams.omega": lambda: openqsl.DephasingQubitParams(NAN, 1.0, 0.5),
+    "DephasingQubitParams.gamma": lambda: openqsl.DephasingQubitParams(1.0, NAN, 0.5),
+    "ProductModelParams.omega": lambda: openqsl.ProductModelParams(2, NAN, 1.0, 0.5),
+    "ProductModelParams.gamma": lambda: openqsl.ProductModelParams(2, 1.0, NAN, 0.5),
+    "time_grid": lambda: openqsl.fisher.time_grid([NAN]),
+    "time_grid.increasing": lambda: openqsl.fisher.time_grid([1e-3, NAN]),
+}
+
+
+@pytest.mark.parametrize("name", NAN_ARGUMENTS)
+def test_nan_argument_is_rejected(name):
+    expected = openqsl.errors.SingularPointError if name == "theta_dot_exact" else ValueError
+    with pytest.raises(expected):
+        NAN_ARGUMENTS[name]()

@@ -1,6 +1,7 @@
 import math
 
 from openqsl import verify
+from openqsl.dynamics import theta_dot_exact
 from openqsl.verify import PropertyResult
 
 
@@ -56,6 +57,31 @@ class TestBoundDominance:
         v = result.violations[0]
         assert v["t_qsl"] == 1e3
         assert v["margin"] == v["t_first_passage"] - 1e3
+
+
+class TestDifferentialDominance:
+    def test_one_rate_call_per_preset(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return theta_dot_exact(*args)
+
+        monkeypatch.setattr(verify, "theta_dot_exact", counted)
+        result = verify.differential_dominance()
+        assert result.passed, result.violations
+        assert len(calls) == 3
+        assert sum(shape[0] for shape in calls) == result.checked
+
+    def test_ceiling_without_fluctuation_term_is_reported(self, monkeypatch):
+        # Mutant of the bound that drops e: (v sin(theta) + e)/sin(2 theta)
+        # becomes v sin(theta)/sin(2 theta), which the exact rate exceeds.
+        def without_e(q, theta):
+            return q.v_coeff * math.sin(theta) / math.sin(2.0 * theta)
+
+        monkeypatch.setattr(verify.qsl, "theta_dot_bound", without_e)
+        result = verify.differential_dominance()
+        assert {v["preset"] for v in result.violations} == {"dephasing", "emission", "product"}
 
 
 class TestRecord:

@@ -2,11 +2,13 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/bench.py --parent <checkout> --rounds 6 --out BENCH_12.json
+    python3 tools/bench.py --parent <checkout> --rounds 6 --out BENCH_13.json
 
 Each round runs one fresh worker process per checkout, alternating which
-goes first, so that a slow phase of a shared machine hits both sides. A
-worker imports ``openqsl`` from ``src/`` of its checkout only and times:
+goes first, so that a slow phase of a shared machine hits both sides, and
+right after it times each of the seven CLI commands at its default config,
+one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
+``openqsl`` from ``src/`` of its checkout only and times:
 
 - ``dynamics._propagate`` and ``dynamics._certified`` (the quality gate's
   per-state certificate) on one random model per dimension and step count
@@ -27,6 +29,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -45,6 +48,7 @@ STEP = 1e-3
 # Repeats of a cell: enough for about CELL_SECONDS, within REPEATS.
 CELL_SECONDS = 0.2
 REPEATS = (3, 15)
+COMMANDS = ("qsl", "fig1a", "fig1b", "scaling", "verify", "qfi", "evolve")
 SUITES = (
     "bound_dominance",
     "differential_dominance",
@@ -100,12 +104,25 @@ def _run_worker(checkout: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _cli_seconds(checkout: str) -> dict:
+    """Wall time of each CLI command at its default config, one fresh process each."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in COMMANDS:
+            cmd = [sys.executable, "-m", "openqsl", command, "--output", os.path.join(tmp, command)]
+            t = time.perf_counter()
+            subprocess.run(cmd, env=env, capture_output=True, check=True)
+            out[command] = time.perf_counter() - t
+    return out
+
+
 def _summary(runs: dict) -> dict:
     """Per timing: each side's rounds and median, and the rounds the change won."""
     rows = {}
     for side, results in runs.items():
         for result in results:
-            for group in ("layers", "verify_s"):
+            for group in ("layers", "verify_s", "cli_s"):
                 for key, value in result[group].items():
                     rows.setdefault(f"{group}/{key}", {}).setdefault(side, []).append(value)
     for row in rows.values():
@@ -136,7 +153,9 @@ def main(argv=None) -> int:
     for r in range(args.rounds):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
-            runs[side].append(_run_worker(sides[side]))
+            result = _run_worker(sides[side])
+            result["cli_s"] = _cli_seconds(sides[side])
+            runs[side].append(result)
             print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
 
     record = {
@@ -150,7 +169,11 @@ def main(argv=None) -> int:
         },
         "step": STEP,
         "rounds": args.rounds,
-        "units": {"layers": "ms, median of repeated calls", "verify_s": "s, one run"},
+        "units": {
+            "layers": "ms, median of repeated calls",
+            "verify_s": "s, one run",
+            "cli_s": "s, wall time of one fresh process",
+        },
         "timings": _summary(runs),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
