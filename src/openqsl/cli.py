@@ -8,6 +8,12 @@ the damping model (checked against the integrator by
 serialized with 17 significant digits, so identical inputs give
 byte-identical files.
 
+``qsl`` and ``fig1a`` take their speed-limit scalars as columns from
+``config.sweep_columns``, which builds one unit-rate model per distinct
+model shape for the whole command (``fig1a``'s three curves share one), and
+then evaluate the time bound row by row. The argument parser is built once
+per process, on the first call of ``main``.
+
 Exit codes: 0 success, 1 configuration error (a trajectory over the
 memory budget included), 2 integration-quality failure, 3 property
 violation (verify only).
@@ -16,8 +22,10 @@ violation (verify only).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +35,7 @@ from .config import (
     ExperimentConfig,
     build_model,
     load_config,
-    sweep_quantities,
+    sweep_columns,
 )
 from .dynamics import evolve, first_passage_time
 from .errors import (
@@ -49,11 +57,21 @@ from .models import (
 FIG1A_OMEGAS = (0.01, 1.0, 4.0)
 
 
+class _Speeds(NamedTuple):
+    """What ``qsl.t_qsl`` and ``qsl.qsl_lower_bound`` read of a
+    ``QslQuantities``: one row of ``sweep_columns``."""
+
+    v_coeff: float
+    e_term: float
+
+
 # ---------------------------------------------------------------------------
 # Deterministic serialization (17 significant digits everywhere).
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -103,7 +121,7 @@ def _to_json(obj, indent: int = 0) -> str:
 def _write_table(path: str, header: list, rows: list, fmt: str) -> None:
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [",".join(map(_fmt, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         records = [dict(zip(header, row)) for row in rows]
@@ -131,22 +149,20 @@ def _write_sidecar(path: str, cfg: ExperimentConfig, seed: int, dt: float | None
 def cmd_qsl(cfg: ExperimentConfig, args) -> int:
     theta_target = cfg.param("theta_target", math.pi / 4)
     sweep_key = cfg.sweep_name or "theta_target"
-    sweep_values = cfg.sweep() if cfg.sweep_name else [theta_target]
-    quantities = sweep_quantities(cfg)
+    values = cfg.sweep() if cfg.sweep_name else [theta_target]
+    targets = values if sweep_key == "theta_target" else [theta_target] * len(values)
+    columns = sweep_columns(cfg, {sweep_key: values})
 
-    def one_row(value: float):
-        overrides = {sweep_key: value}
-        target = overrides.get("theta_target", theta_target)
-        q = quantities(overrides)
+    rows = []
+    for value, target, delta_h0, g_term, e_term, v_coeff in zip(values, targets, *columns):
+        speeds = _Speeds(v_coeff, e_term)
         try:
-            bound = qsl.t_qsl(q, target)
-            lower = qsl.qsl_lower_bound(q, target)
+            bound = qsl.t_qsl(speeds, target)
+            lower = qsl.qsl_lower_bound(speeds, target)
             status = "ok"
         except FrozenDynamicsError:
             bound, lower, status = None, None, "frozen_dynamics"
-        return [value, q.delta_h0, q.g_term, q.e_term, q.v_coeff, bound, lower, status]
-
-    rows = [one_row(value) for value in sweep_values]
+        rows.append([value, delta_h0, g_term, e_term, v_coeff, bound, lower, status])
     header = ["sweep_value", "delta_h0", "g_term", "e_term", "v_coeff", "t_qsl", "t_lower", "status"]
     path = args.output or cfg.output_path or "qsl." + args.format
     _write_table(path, header, rows, args.format)
@@ -164,15 +180,19 @@ def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
     ).tolist()
     header = ["gamma"] + [f"t_qsl_omega_{om:g}" for om in FIG1A_OMEGAS]
 
-    # One gamma sweep of the dephasing preset per curve.
-    columns = []
-    for omega in FIG1A_OMEGAS:
-        quantities = sweep_quantities(
-            ExperimentConfig(preset="dephasing", parameters={"omega": omega, "theta": theta})
-        )
-        columns.append([qsl.t_qsl(quantities({"gamma": gamma}), theta_target) for gamma in gammas])
+    # One gamma sweep of the dephasing preset per curve, all as one column
+    # sweep over (omega, gamma), curve by curve.
+    _, _, e_term, v_coeff = sweep_columns(
+        ExperimentConfig(preset="dephasing", parameters={"theta": theta}),
+        {
+            "omega": [omega for omega in FIG1A_OMEGAS for _ in gammas],
+            "gamma": gammas * len(FIG1A_OMEGAS),
+        },
+    )
+    times = [qsl.t_qsl(_Speeds(v, e), theta_target) for v, e in zip(v_coeff, e_term)]
 
-    rows = [[gamma, *times] for gamma, times in zip(gammas, zip(*columns))]
+    points = len(gammas)
+    rows = [[gamma, *times[k::points]] for k, gamma in enumerate(gammas)]
     path = args.output or cfg.output_path or "fig1a." + args.format
     _write_table(path, header, rows, args.format)
     _write_sidecar(path, cfg, args.seed, None)
@@ -363,7 +383,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parse_args
+    leaves it unchanged."""
     parser = _Parser(
         prog="openqsl",
         description="Speed limits and trajectory verification for Markovian dynamics",
@@ -378,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.format is None:
             args.format = cfg.output_format or "csv"

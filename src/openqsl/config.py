@@ -15,7 +15,13 @@ a denormalized state vector is rejected here, naming the offending field,
 and so is a model parameter (omega, gamma, theta, n) set or swept beside
 them, which an inline model would not read.
 A [parameters] or sweep value is checked against its key's domain when a
-command reads it, and a model parameter by its preset.
+command reads it, and a model parameter by its preset's rule.
+
+``sweep_columns`` evaluates a sweep as columns: it takes the swept values
+keyed by parameter, checks the fixed parameters once and each swept value by
+its preset's rule, builds one unit-rate model (omega = gamma = 1) per
+distinct remaining parameter set, and returns the speed-limit scalars of
+every row by scaling that model's terms with the row's rates.
 """
 
 from __future__ import annotations
@@ -30,13 +36,16 @@ import numpy as np
 from .dynamics import LindbladModel
 from .errors import ConfigError
 from .models import (
+    EMISSION_GAMMA_RULE,
+    PARAMETER_RULES,
     DephasingQubitParams,
     ProductModelParams,
+    check_parameter,
     dephasing_model,
     product_model_dense,
     spontaneous_emission_model,
 )
-from .qsl import QslQuantities, compute_quantities
+from .qsl import compute_quantities
 
 PRESETS = ("dephasing", "emission", "product")
 # The [parameters] keys that build_model reads for each preset, with their
@@ -74,6 +83,7 @@ _DOMAINS = {
 _INTEGRATOR_KEYS = {"dt", "horizon"}
 _SWEEP_KEYS = {"name", "values"}
 _OUTPUT_KEYS = {"path", "format"}
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -296,29 +306,35 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+def _preset(cfg: ExperimentConfig) -> str | None:
+    """cfg's preset, or None for an inline model."""
+    if cfg.hamiltonian is not None:
+        return None
+    preset = cfg.preset or "emission"
+    if preset not in PRESET_DEFAULTS:
+        raise ConfigError(f"[model] preset: unknown preset {preset!r}")
+    return preset
+
+
+def _rule(preset: str, key: str) -> tuple:
+    return EMISSION_GAMMA_RULE if preset == "emission" else PARAMETER_RULES[key]
+
+
 def _preset_params(cfg: ExperimentConfig, overrides: dict | None) -> dict:
     """The [parameters] that cfg's preset reads, with ``overrides``
     substituted and checked by the preset's own rules; an inline model
     reads none."""
-    if cfg.hamiltonian is not None:
+    preset = _preset(cfg)
+    if preset is None:
         return {}
-    preset = cfg.preset or "emission"
-    if preset not in PRESET_DEFAULTS:
-        raise ConfigError(f"[model] preset: unknown preset {preset!r}")
     overrides = overrides or {}
     params = {
         key: overrides[key] if key in overrides else cfg.param(key, default)
         for key, default in PRESET_DEFAULTS[preset].items()
     }
     try:
-        if preset == "emission":
-            if params["gamma"] <= 0.0:
-                raise ValueError("gamma must be positive")
-        elif preset == "dephasing":
-            DephasingQubitParams(**params)
-        else:
-            ProductModelParams(**params)
-            params["n"] = int(params["n"])
+        for key, value in params.items():
+            check_parameter(_rule(preset, key), value)
     except ValueError as exc:
         raise ConfigError(f"[parameters]: {exc}")
     return params
@@ -363,27 +379,55 @@ def build_model(cfg: ExperimentConfig, overrides: dict | None = None):
         raise ConfigError(f"[parameters]: {exc}")
 
 
-def sweep_quantities(cfg: ExperimentConfig):
-    """Return ``quantities(overrides)``, the speed-limit quantities of
-    ``build_model(cfg, overrides)``, for the rows of a sweep.
+def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
+    """The speed-limit scalars of ``build_model(cfg, row)`` for every row of
+    ``columns``, equal-length lists of values keyed by parameter name, as
+    four lists: delta_h0, g_term, e_term and v_coeff.
 
     delta_h0 is linear in omega, and g_term and e_term are linear in gamma,
     since every jump operator is sqrt(gamma) times a unit one. So
-    ``compute_quantities`` runs once per unit-rate model (omega = gamma = 1
-    and the call's other parameters) and each call scales its terms by its
-    own rates. An inline model, and the emission preset's omega, take a
-    factor of 1. Every call checks its parameters as build_model does.
+    ``compute_quantities`` runs once per distinct unit-rate model (omega =
+    gamma = 1 and a row's other parameters), and each row scales its terms
+    by its own rates with the arithmetic of ``QslQuantities.from_terms``:
+    omega * delta_h0, gamma * g_term, gamma * e_term and
+    v = 2 delta_h0 + sqrt(2) g_term. An inline model, and the emission
+    preset's omega, take a factor of 1; a column the model does not read,
+    such as theta_target, changes no scalar.
+
+    The fixed parameters are checked once and each swept value by its
+    preset's rule, so the first row that build_model would reject raises
+    the same ConfigError, after the unit-rate models of the rows before it.
     """
+    rows = len(next(iter(columns.values())))
+    preset = _preset(cfg)
+    # Every parameter the model reads, as a column: swept, or fixed.
+    params = {
+        key: columns[key] if key in columns else [cfg.param(key, default)] * rows
+        for key, default in (PRESET_DEFAULTS[preset] if preset else {}).items()
+    }
+    # The first row that breaks a rule; a fixed value is checked on row 0.
+    bad, problem = rows, None
+    for key, values in params.items():
+        test, message = _rule(preset, key)
+        checked = values if key in columns else values[:1]
+        first = next((i for i, v in enumerate(checked) if not test(v)), rows)
+        if first < bad:
+            bad, problem = first, message
+
+    shape = [key for key in params if key not in ("omega", "gamma")]
+    keys = list(zip(*(params[key] for key in shape))) if shape else [()] * rows
     unit = {}
-
-    def quantities(overrides: dict) -> QslQuantities:
-        params = _preset_params(cfg, overrides)
-        omega, gamma = params.pop("omega", 1.0), params.pop("gamma", 1.0)
-        key = tuple(params.items())
+    for key in keys[:bad]:
         if key not in unit:
-            model, psi0 = build_model(cfg, {**params, "omega": 1.0, "gamma": 1.0})
-            unit[key] = compute_quantities(model, psi0)
-        q = unit[key]
-        return QslQuantities.from_terms(omega * q.delta_h0, gamma * q.g_term, gamma * q.e_term)
+            overrides = {**dict(zip(shape, key)), "omega": 1.0, "gamma": 1.0}
+            unit[key] = compute_quantities(*build_model(cfg, overrides))
+    if problem is not None:
+        raise ConfigError(f"[parameters]: {problem}")
 
-    return quantities
+    units = [unit[key] for key in keys]
+    ones = [1.0] * rows
+    delta_h0 = [w * q.delta_h0 for w, q in zip(params.get("omega", ones), units)]
+    g_term = [r * q.g_term for r, q in zip(params.get("gamma", ones), units)]
+    e_term = [r * q.e_term for r, q in zip(params.get("gamma", ones), units)]
+    v_coeff = [2.0 * h + _SQRT2 * g for h, g in zip(delta_h0, g_term)]
+    return delta_h0, g_term, e_term, v_coeff

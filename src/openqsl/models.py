@@ -5,7 +5,7 @@ locally-dephased N-qubit product chain with an O(N) analytic fast path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,18 @@ PRODUCT_DENSE_MAX_QUBITS = 12
 # output metadata.
 EMISSION_DECAY_PER_GAMMA = 1.0
 
+# What each parameter of the dephasing and product models must satisfy, as
+# (test, message), in the order their parameter classes check them. Every
+# test fails on NaN; n also fails on infinities and fractions.
+PARAMETER_RULES = {
+    "n": (lambda v: v >= 1 and v % 1 == 0, "n must be a positive integer"),
+    "omega": (lambda v: v > 0.0, "omega must be positive"),
+    "gamma": (lambda v: v >= 0.0, "gamma must be nonnegative"),
+    "theta": (lambda v: 0.0 <= v <= math.pi, "theta must lie in [0, pi]"),
+}
+# The damping model's rate, which its one channel needs nonzero.
+EMISSION_GAMMA_RULE = (lambda v: v > 0.0, "gamma must be positive")
+
 
 @dataclass(frozen=True)
 class DephasingQubitParams:
@@ -39,12 +51,7 @@ class DephasingQubitParams:
     theta: float
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError("theta must lie in [0, pi]")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,20 @@ class ProductModelParams:
     theta: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError("theta must lie in [0, pi]")
+        _check_fields(self)
+        object.__setattr__(self, "n", int(self.n))  # n = 2.0 is the 2-site chain
+
+
+def check_parameter(rule: tuple, value: float) -> None:
+    """Raise ValueError with the rule's message unless ``value`` passes it."""
+    test, message = rule
+    if not test(value):
+        raise ValueError(message)
+
+
+def _check_fields(params) -> None:
+    for f in fields(params):
+        check_parameter(PARAMETER_RULES[f.name], getattr(params, f.name))
 
 
 def bloch_state(theta: float) -> np.ndarray:
@@ -81,8 +94,7 @@ def dephasing_model(p: DephasingQubitParams) -> tuple[LindbladModel, np.ndarray]
 
 def spontaneous_emission_model(gamma: float) -> tuple[LindbladModel, np.ndarray]:
     """Amplitude damping from the excited state: H = 0, L = sqrt(gamma) sigma_-."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    check_parameter(EMISSION_GAMMA_RULE, gamma)
     h = np.zeros((2, 2), dtype=complex)
     ops = (math.sqrt(gamma) * SIGMA_MINUS,)
     psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -92,8 +104,7 @@ def spontaneous_emission_model(gamma: float) -> tuple[LindbladModel, np.ndarray]
 def exact_emission_time(gamma: float, theta_target: float) -> float:
     """Closed-form first-passage time -ln(cos^2 Theta)/(gamma * decay rate)
     of the damping model; diverges as the target approaches pi/2."""
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    check_parameter(EMISSION_GAMMA_RULE, gamma)
     if not (0.0 < theta_target < math.pi / 2):
         raise ValueError(
             f"theta_target = {theta_target!r} outside (0, pi/2); the passage "

@@ -188,6 +188,26 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out == "pass stub: 1 checks, 3 skipped (unreachable_target), worst margin 5.000e-01\n"
 
+class TestParserPerProcess:
+    def test_format_of_one_call_does_not_carry_over(self, tmp_path):
+        assert cli.main(["qsl", "--format", "json", "--output", str(tmp_path / "a")]) == 0
+        assert (tmp_path / "a").read_text().startswith("[\n  {")
+        assert cli.main(["qsl", "--output", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b").read_text().startswith("sweep_value,delta_h0,")
+
+    def test_usage_error_after_a_good_call_exits_one(self, tmp_path, capsys):
+        assert run(tmp_path, "qsl") == 0
+        assert run(tmp_path, "qsl", "--bogus", "1") == 1
+        assert capsys.readouterr().err.startswith("config error: unrecognized arguments")
+
+    def test_help_after_a_good_call_exits_zero(self, tmp_path, capsys):
+        assert run(tmp_path, "qsl") == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: openqsl" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["qsl", "fig1a", "scaling", "qfi", "evolve"])
 def test_repeated_runs_are_byte_identical(tmp_path, command):
     outputs = []
@@ -294,6 +314,42 @@ class TestRateScaledSweeps:
         assert run(tmp_path, "qsl", "--config", path) == 0
         assert [row[-1] for row in read_csv(tmp_path / "out.csv")] == ["frozen_dynamics", "ok"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[model]\npreset = dephasing\n[sweep]\nname = gamma\nvalues = 1, -1, -2",
+                "gamma must be nonnegative",
+            ),
+            (
+                "[model]\npreset = product\n[sweep]\nname = theta\nvalues = 0.5, 1, 4, 5",
+                "theta must lie in [0, pi]",
+            ),
+            # each row is checked in the preset's order: omega, gamma, theta
+            (
+                "[model]\npreset = dephasing\n[parameters]\ntheta = 4\n"
+                "[sweep]\nname = gamma\nvalues = -1, 1",
+                "gamma must be nonnegative",
+            ),
+            (
+                "[model]\npreset = dephasing\n[parameters]\ntheta = 4\n"
+                "[sweep]\nname = gamma\nvalues = 1, -1",
+                "theta must lie in [0, pi]",
+            ),
+            # rows before the first bad one still build their model
+            (
+                "[model]\npreset = product\n[sweep]\nname = n\nvalues = 3, 40, 0",
+                "dense product model capped at 12 qubits (requested 40)",
+            ),
+            ("[model]\npreset = product\n[sweep]\nname = n\nvalues = 3, 1, 0", "n must be a positive integer"),
+        ],
+        ids=["gamma", "theta", "row-order", "fixed-first", "cap-first", "n"],
+    )
+    def test_first_bad_row_exits_one(self, tmp_path, capsys, text, message):
+        assert run(tmp_path, "qsl", "--config", write_config(tmp_path, text + "\n")) == 1
+        assert capsys.readouterr().err.startswith(f"config error: [parameters]: {message}")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_fig1a_matches_a_model_per_point(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -319,7 +375,8 @@ class TestRateScaledSweeps:
         [
             ("qsl", "[model]\npreset = dephasing\n[sweep]\nname = gamma\nvalues = 0, 1, 2, 3", 1),
             ("qsl", "[model]\npreset = dephasing\n[sweep]\nname = theta\nvalues = 0.1, 0.2, 0.1", 2),
-            ("fig1a", "[parameters]\ngamma_points = 20", 3),
+            # the three curves share one unit-rate model
+            ("fig1a", "[parameters]\ngamma_points = 20", 1),
         ],
     )
     def test_quantities_computed_once_per_unit_rate_model(

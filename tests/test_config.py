@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openqsl import cli
-from openqsl.config import ExperimentConfig, build_model, load_config
+from openqsl import cli, qsl
+from openqsl.config import ExperimentConfig, build_model, load_config, sweep_columns
 from openqsl.errors import ConfigError
 
 # Parses as a JSON integer but overflows a float.
@@ -95,6 +95,46 @@ class TestErrorsNameTheirKey:
     def test_percent_sign_is_not_interpolation(self, tmp_path):
         cfg = load(tmp_path, "[output]\npath = run_100%.csv\n")
         assert cfg.output_path == "run_100%.csv"
+
+
+class TestSweepColumns:
+    @pytest.mark.parametrize(
+        "preset, fixed, columns",
+        [
+            ("dephasing", {"theta": 0.7}, {"omega": [0.01, 0.01, 4.0], "gamma": [0.0, 3.5, 3.5]}),
+            ("dephasing", {"gamma": 0.3}, {"theta": [0.1, 2.0, 0.1, 3.0]}),
+            ("product", {"omega": 1.7}, {"n": [1.0, 3.0, 2.0, 3.0]}),
+            ("emission", {"gamma": 2.5}, {"theta_target": [0.2, 0.9]}),
+        ],
+    )
+    def test_rows_scale_the_unit_rate_model_as_from_terms(self, preset, fixed, columns):
+        cfg = ExperimentConfig(preset=preset, parameters=fixed)
+        got = sweep_columns(cfg, columns)
+        rows = len(next(iter(columns.values())))
+        assert [len(column) for column in got] == [rows] * 4
+        for i in range(rows):
+            row = {**fixed, **{key: values[i] for key, values in columns.items()}}
+            omega = row.pop("omega", 1.0) if preset != "emission" else 1.0
+            gamma = row.pop("gamma", 1.0)
+            unit = qsl.compute_quantities(*build_model(cfg, {**row, "omega": 1.0, "gamma": 1.0}))
+            want = qsl.QslQuantities.from_terms(
+                omega * unit.delta_h0, gamma * unit.g_term, gamma * unit.e_term
+            )
+            assert [column[i] for column in got] == [
+                want.delta_h0, want.g_term, want.e_term, want.v_coeff
+            ]
+
+    def test_inline_model_rows_are_its_quantities(self):
+        cfg = ExperimentConfig(
+            hamiltonian=np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex),
+            lindblad_ops=[np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)],
+            psi0=np.array([0.6, 0.8], dtype=complex),
+        )
+        q = qsl.compute_quantities(*build_model(cfg))
+        want = [q.delta_h0, q.g_term, q.e_term, q.v_coeff]
+        assert [list(column) for column in zip(*sweep_columns(cfg, {"theta_target": [0.2, 0.9]}))] == [
+            want, want
+        ]
 
 
 class TestAcceptedKeys:

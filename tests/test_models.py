@@ -52,6 +52,21 @@ class TestProductChain:
             assert q.v_coeff == 2.0 * q.delta_h0
 
 
+class TestProductParams:
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, 0, -3])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be a positive integer$"):
+            ProductModelParams(n=n, omega=1.0, gamma=1.0, theta=0.5)
+
+    def test_integral_float_n_is_the_integer_chain(self):
+        # a config file gives n as a float
+        p = ProductModelParams(n=2.0, omega=1.3, gamma=0.4, theta=0.7)
+        assert type(p.n) is int and p == ProductModelParams(n=2, omega=1.3, gamma=0.4, theta=0.7)
+        analytic, dense = product_quantities_analytic(p), compute_quantities(*product_model_dense(p))
+        for field in FIELDS:
+            assert getattr(analytic, field) == pytest.approx(getattr(dense, field), rel=1e-12, abs=0.0)
+
+
 class TestEmissionDecay:
     def test_integrated_rate_matches_constant(self):
         # The excited population of the damping model, integrated at gamma = 1,

@@ -71,6 +71,7 @@ NAN_ARGUMENTS = {
     "log_inequality_margin": lambda: openqsl.log_inequality_margin(NAN),
     "f_ratio": lambda: openqsl.f_ratio(NAN, 0.5),
     "exact_emission_time": lambda: openqsl.exact_emission_time(NAN, 0.5),
+    "spontaneous_emission_model": lambda: openqsl.spontaneous_emission_model(NAN),
     "DephasingQubitParams.omega": lambda: openqsl.DephasingQubitParams(NAN, 1.0, 0.5),
     "DephasingQubitParams.gamma": lambda: openqsl.DephasingQubitParams(1.0, NAN, 0.5),
     "ProductModelParams.omega": lambda: openqsl.ProductModelParams(2, NAN, 1.0, 0.5),

@@ -13,17 +13,22 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
 - ``dynamics._propagate`` and ``dynamics._certified`` (the quality gate's
   per-state certificate) on one random model per dimension and step count
   of ``GRID``, h = 1e-3; the median of repeated calls per cell;
-- every ``verify`` suite once at its default settings, and their sum.
+- every ``verify`` suite once at its default settings, and their sum;
+- ``cli.main`` in process for ``qsl``, ``fig1a`` and ``scaling`` at their
+  default config, the median of repeated calls: the sweep layer without
+  the interpreter start and the imports.
 
 Without ``--parent`` only the current checkout runs. The output file holds
 every round's numbers, the medians per side, in how many rounds the change
-was faster, the ``src/`` line count of each checkout and the machine
+was faster, the ``src/`` line count of each checkout, whether its ``src/``
+differs from its commit (and a hash of the difference), and the machine
 record of ``perfbench/environment.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -49,6 +54,7 @@ STEP = 1e-3
 CELL_SECONDS = 0.2
 REPEATS = (3, 15)
 COMMANDS = ("qsl", "fig1a", "fig1b", "scaling", "verify", "qfi", "evolve")
+IN_PROCESS_COMMANDS = ("qsl", "fig1a", "scaling")
 SUITES = (
     "bound_dominance",
     "differential_dominance",
@@ -76,9 +82,9 @@ def worker(checkout: str) -> dict:
     src = os.path.join(os.path.abspath(checkout), "src")
     sys.path.insert(0, src)
     import numpy as np
-    from openqsl import dynamics, linalg, verify
+    from openqsl import cli, dynamics, linalg, verify
 
-    out = {"layers": {}, "verify_s": {}}
+    out = {"layers": {}, "verify_s": {}, "cli_main_ms": {}}
     for d, ns in GRID:
         for n in ns:
             model, psi0 = verify.random_model(np.random.default_rng([d, n]), d)
@@ -95,7 +101,33 @@ def worker(checkout: str) -> dict:
         getattr(verify, name)()
         out["verify_s"][name] = time.perf_counter() - t
     out["verify_s"]["total"] = sum(out["verify_s"].values())
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in IN_PROCESS_COMMANDS:
+            argv = [command, "--output", os.path.join(tmp, command)]
+            out["cli_main_ms"][command] = _median_ms(lambda: cli.main(argv))
     return out
+
+
+def _src_changes(checkout: str) -> dict:
+    """Whether ``src/`` differs from the checkout's commit (staged, unstaged
+    or untracked files), and a hash of that difference, so that an
+    uncommitted change does not read as the commit it started from. Both
+    are None outside a git checkout."""
+    if environment.git_commit(checkout) is None:
+        return {"src_dirty": None, "src_diff_sha256": None}
+
+    def git(*args) -> bytes:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, check=True).stdout
+
+    status = git("status", "--porcelain", "--untracked-files=all", "--", "src")
+    if not status:
+        return {"src_dirty": False, "src_diff_sha256": None}
+    digest = hashlib.sha256(git("diff", "HEAD", "--binary", "--", "src"))
+    for line in status.splitlines():
+        if line.startswith(b"?? "):
+            with open(os.path.join(checkout, line[3:].decode()), "rb") as fh:
+                digest.update(line[3:] + b"\0" + fh.read())
+    return {"src_dirty": True, "src_diff_sha256": digest.hexdigest()}
 
 
 def _run_worker(checkout: str) -> dict:
@@ -122,7 +154,7 @@ def _summary(runs: dict) -> dict:
     rows = {}
     for side, results in runs.items():
         for result in results:
-            for group in ("layers", "verify_s", "cli_s"):
+            for group in ("layers", "verify_s", "cli_main_ms", "cli_s"):
                 for key, value in result[group].items():
                     rows.setdefault(f"{group}/{key}", {}).setdefault(side, []).append(value)
     for row in rows.values():
@@ -163,6 +195,7 @@ def main(argv=None) -> int:
         "checkouts": {
             side: {
                 "git_commit": environment.git_commit(path),
+                **_src_changes(path),
                 **environment.source_stats(os.path.join(path, "src")),
             }
             for side, path in sides.items()
@@ -172,6 +205,7 @@ def main(argv=None) -> int:
         "units": {
             "layers": "ms, median of repeated calls",
             "verify_s": "s, one run",
+            "cli_main_ms": "ms, median of repeated in-process cli.main calls",
             "cli_s": "s, wall time of one fresh process",
         },
         "timings": _summary(runs),
