@@ -1,18 +1,20 @@
 """Command-line front end: sweeps, figure data, trajectory dumps and the
 randomized verification harness, all emitted as reproducible CSV/JSON.
 
-Every run writes the requested data file plus a ``<path>.meta.json``
-sidecar echoing the configuration, seed, step size, the decay constant of
-the damping model (checked against the integrator by
-``tests/test_models.py``), and the library version. Numeric fields are
-serialized with 17 significant digits, so identical inputs give
-byte-identical files.
+Each command but ``verify`` hands a header and rows to ``_emit``, which
+writes them to ``--output``, [output] path or a default name, plus a
+``<path>.meta.json`` sidecar echoing the configuration, seed, step size,
+the decay constant of the damping model (checked against the integrator by
+``tests/test_models.py``), and the library version; ``verify`` writes its
+own report and the same sidecar. Numeric fields are serialized with 17
+significant digits, so identical inputs give byte-identical files.
 
-``qsl`` and ``fig1a`` take their speed-limit scalars as columns from
-``config.sweep_columns``, which builds one unit-rate model per distinct
-model shape for the whole command (``fig1a``'s three curves share one), and
-then evaluate the time bound row by row. The argument parser is built once
-per process, on the first call of ``main``.
+Models come from ``config`` alone. ``qsl`` and ``fig1a`` take their
+speed-limit scalars as columns from ``config.sweep_columns``, which builds
+one unit-rate model per distinct model shape for the whole command
+(``fig1a``'s three curves share one), and then evaluate the time bound row
+by row. The argument parser is built once per process, on the first call
+of ``main``.
 
 Exit codes: 0 success, 1 configuration error (a trajectory over the
 memory budget included), 2 integration-quality failure, 3 property
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from typing import NamedTuple
@@ -35,6 +38,7 @@ from .config import (
     ExperimentConfig,
     build_model,
     load_config,
+    preset_model,
     sweep_columns,
 )
 from .dynamics import evolve, first_passage_time
@@ -51,7 +55,6 @@ from .models import (
     exact_emission_time,
     product_quantities_analytic,
     scaling_exponent,
-    spontaneous_emission_model,
 )
 
 FIG1A_OMEGAS = (0.01, 1.0, 4.0)
@@ -86,17 +89,11 @@ def _fmt(value) -> str:
 def _json_scalar(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, str):
-        import json as _json
-
-        return _json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return json.dumps(value)
     if isinstance(value, float) and not math.isfinite(value):
         return '"%s"' % repr(value)
-    return format(float(value), ".17g")
+    return _fmt(value)
 
 
 def _to_json(obj, indent: int = 0) -> str:
@@ -118,8 +115,11 @@ def _to_json(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _write_table(path: str, header: list, rows: list, fmt: str) -> None:
-    if fmt == "csv":
+def _emit(args, cfg: ExperimentConfig, stem: str, header: list, rows: list, dt) -> int:
+    """Write a command's table to --output, [output] path or
+    ``<stem>.<format>``, and its sidecar with step size ``dt``; exit 0."""
+    path = args.output or cfg.output_path or f"{stem}.{args.format}"
+    if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(map(_fmt, row)) for row in rows]
         text = "\n".join(lines) + "\n"
@@ -128,6 +128,8 @@ def _write_table(path: str, header: list, rows: list, fmt: str) -> None:
         text = _to_json(records) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+    _write_sidecar(path, cfg, args.seed, dt)
+    return 0
 
 
 def _write_sidecar(path: str, cfg: ExperimentConfig, seed: int, dt: float | None) -> None:
@@ -164,10 +166,7 @@ def cmd_qsl(cfg: ExperimentConfig, args) -> int:
             bound, lower, status = None, None, "frozen_dynamics"
         rows.append([value, delta_h0, g_term, e_term, v_coeff, bound, lower, status])
     header = ["sweep_value", "delta_h0", "g_term", "e_term", "v_coeff", "t_qsl", "t_lower", "status"]
-    path = args.output or cfg.output_path or "qsl." + args.format
-    _write_table(path, header, rows, args.format)
-    _write_sidecar(path, cfg, args.seed, cfg.dt)
-    return 0
+    return _emit(args, cfg, "qsl", header, rows, cfg.dt)
 
 
 def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
@@ -193,10 +192,7 @@ def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
 
     points = len(gammas)
     rows = [[gamma, *times[k::points]] for k, gamma in enumerate(gammas)]
-    path = args.output or cfg.output_path or "fig1a." + args.format
-    _write_table(path, header, rows, args.format)
-    _write_sidecar(path, cfg, args.seed, None)
-    return 0
+    return _emit(args, cfg, "fig1a", header, rows, None)
 
 
 def _fig1b_targets() -> list:
@@ -208,10 +204,7 @@ def _fig1b_targets() -> list:
 
 def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
     gamma = cfg.param("gamma", 1.0)
-    try:
-        model, psi0 = spontaneous_emission_model(gamma)
-    except ValueError as exc:
-        raise ConfigError(f"[parameters]: {exc}")
+    model, psi0 = preset_model("emission", {"gamma": gamma})
     # All damping-model times scale as 1/gamma; stepping in scaled time
     # keeps the grid resolution identical across gamma values.
     dt = (cfg.dt or 1e-4) / gamma
@@ -229,10 +222,7 @@ def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
             [target, exact_emission_time(gamma, target), t_fp, qsl.t_qsl(q, target)]
         )
     header = ["theta_target", "t_exa", "t_first_passage", "t_qsl"]
-    path = args.output or cfg.output_path or "fig1b." + args.format
-    _write_table(path, header, rows, args.format)
-    _write_sidecar(path, cfg, args.seed, dt)
-    return 0
+    return _emit(args, cfg, "fig1b", header, rows, dt)
 
 
 def cmd_scaling(cfg: ExperimentConfig, args) -> int:
@@ -256,10 +246,7 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
 
     rows = [[n, t] for n, t in samples]
     rows.append(["exponent", exponent])
-    path = args.output or cfg.output_path or "scaling." + args.format
-    _write_table(path, ["n", "t_qsl"], rows, args.format)
-    _write_sidecar(path, cfg, args.seed, None)
-    return 0
+    return _emit(args, cfg, "scaling", ["n", "t_qsl"], rows, None)
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
@@ -323,10 +310,7 @@ def cmd_qfi(cfg: ExperimentConfig, args) -> int:
         for r in reports
     ]
     header = ["t", "fidelity", "qfi_estimate", "qfi_bound", "satisfied", "in_window"]
-    path = args.output or cfg.output_path or "qfi." + args.format
-    _write_table(path, header, rows, args.format)
-    _write_sidecar(path, cfg, args.seed, dt)
-    return 0
+    return _emit(args, cfg, "qfi", header, rows, dt)
 
 
 def cmd_evolve(cfg: ExperimentConfig, args) -> int:
@@ -337,10 +321,7 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
         for k in range(len(traj.times))
     ]
     header = ["t", "theta", "trace_drift", "min_eig"]
-    path = args.output or cfg.output_path or "trajectory." + args.format
-    _write_table(path, header, rows, args.format)
-    _write_sidecar(path, cfg, args.seed, traj.dt)
-    return 0
+    return _emit(args, cfg, "trajectory", header, rows, traj.dt)
 
 
 # The sweep names each command reads besides the model's own parameters,

@@ -15,13 +15,17 @@ a denormalized state vector is rejected here, naming the offending field,
 and so is a model parameter (omega, gamma, theta, n) set or swept beside
 them, which an inline model would not read.
 A [parameters] or sweep value is checked against its key's domain when a
-command reads it, and a model parameter by its preset's rule.
+command reads it.
 
-``sweep_columns`` evaluates a sweep as columns: it takes the swept values
-keyed by parameter, checks the fixed parameters once and each swept value by
-its preset's rule, builds one unit-rate model (omega = gamma = 1) per
-distinct remaining parameter set, and returns the speed-limit scalars of
-every row by scaling that model's terms with the row's rates.
+Every preset model comes from ``preset_model``, whose model constructors
+check their parameters by the rules of ``models.PARAMETER_RULES``; it
+reports a broken one as a [parameters] ConfigError. ``build_model`` feeds
+it the config's own parameters, or builds an inline model.
+``sweep_columns`` evaluates a sweep as columns: it finds the first row
+that breaks its preset's rules, builds one unit-rate model (omega = gamma
+= 1) per distinct parameter set of the rows before it, and returns the
+speed-limit scalars of every row by scaling that model's terms with the
+row's rates.
 """
 
 from __future__ import annotations
@@ -40,31 +44,23 @@ from .models import (
     PARAMETER_RULES,
     DephasingQubitParams,
     ProductModelParams,
-    check_parameter,
     dephasing_model,
     product_model_dense,
     spontaneous_emission_model,
 )
 from .qsl import compute_quantities
 
-PRESETS = ("dephasing", "emission", "product")
-# The [parameters] keys that build_model reads for each preset, with their
+# The [parameters] keys that each preset's model reads, with their
 # defaults; an inline model reads none.
 PRESET_DEFAULTS = {
     "emission": {"gamma": 1.0},
     "dephasing": {"omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
     "product": {"n": 3, "omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
 }
+PRESETS = sorted(PRESET_DEFAULTS)
 # The model parameters of the presets, which an inline model does not read.
 _MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
 _MODEL_KEYS = {"preset", "hamiltonian", "lindblad_ops", "psi0"}
-# Every [parameters] key that a command reads; a sweep may vary any of
-# them, or the time grid "t".
-_PARAMETER_KEYS = {
-    "theta_target", "theta", "omega", "gamma", "n",
-    "gamma_min", "gamma_max", "gamma_points",
-    "n_models", "n_fisher_models", "n_scalar_samples",
-}
 # What the commands require of the [parameters] keys they read directly, and
 # of sweep values over those keys; the model parameters (omega, gamma, theta
 # and n >= 1) are checked by their preset when a model is built.
@@ -80,6 +76,9 @@ _DOMAINS = {
     "n_fisher_models": _COUNT,
     "n_scalar_samples": _COUNT,
 }
+# Every [parameters] key that a command reads; a sweep may vary any of
+# them, or the time grid "t".
+_PARAMETER_KEYS = set(_DOMAINS) | _MODEL_PARAMETERS
 _INTEGRATOR_KEYS = {"dt", "horizon"}
 _SWEEP_KEYS = {"name", "values"}
 _OUTPUT_KEYS = {"path", "format"}
@@ -316,36 +315,24 @@ def _preset(cfg: ExperimentConfig) -> str | None:
     return preset
 
 
-def _rule(preset: str, key: str) -> tuple:
-    return EMISSION_GAMMA_RULE if preset == "emission" else PARAMETER_RULES[key]
-
-
-def _preset_params(cfg: ExperimentConfig, overrides: dict | None) -> dict:
-    """The [parameters] that cfg's preset reads, with ``overrides``
-    substituted and checked by the preset's own rules; an inline model
-    reads none."""
-    preset = _preset(cfg)
-    if preset is None:
-        return {}
-    overrides = overrides or {}
-    params = {
-        key: overrides[key] if key in overrides else cfg.param(key, default)
-        for key, default in PRESET_DEFAULTS[preset].items()
-    }
+def preset_model(preset: str, params: dict):
+    """Construct (LindbladModel, psi0) of ``preset`` from ``params``, the
+    [parameters] that its model reads; a value that breaks the preset's
+    rules, or a product chain over the dense size cap, raises ConfigError."""
     try:
-        for key, value in params.items():
-            check_parameter(_rule(preset, key), value)
+        if preset == "emission":
+            return spontaneous_emission_model(**params)
+        if preset == "dephasing":
+            return dephasing_model(DephasingQubitParams(**params))
+        return product_model_dense(ProductModelParams(**params))
     except ValueError as exc:
         raise ConfigError(f"[parameters]: {exc}")
-    return params
 
 
-def build_model(cfg: ExperimentConfig, overrides: dict | None = None):
-    """Construct (LindbladModel, psi0) from a preset or inline matrices.
-
-    ``overrides`` substitutes parameter values (used by sweeps) without
-    mutating the config.
-    """
+def build_model(cfg: ExperimentConfig):
+    """Construct (LindbladModel, psi0) from inline matrices, or by
+    ``preset_model`` from the [parameters] that cfg's preset reads, each
+    checked against its key's domain first."""
     if cfg.hamiltonian is None and (cfg.psi0 is not None or cfg.lindblad_ops is not None):
         raise ConfigError("[model] hamiltonian: required when psi0/lindblad_ops is given")
     if cfg.hamiltonian is not None:
@@ -367,27 +354,21 @@ def build_model(cfg: ExperimentConfig, overrides: dict | None = None):
             raise ConfigError(f"[model] psi0: norm {nrm!r} is not 1")
         return model, psi0 / nrm
 
-    params = _preset_params(cfg, overrides)
-    preset = cfg.preset or "emission"
-    if preset == "emission":
-        return spontaneous_emission_model(**params)
-    if preset == "dephasing":
-        return dephasing_model(DephasingQubitParams(**params))
-    try:
-        return product_model_dense(ProductModelParams(**params))
-    except ValueError as exc:  # the dense size cap
-        raise ConfigError(f"[parameters]: {exc}")
+    preset = _preset(cfg)
+    params = {key: cfg.param(key, default) for key, default in PRESET_DEFAULTS[preset].items()}
+    return preset_model(preset, params)
 
 
 def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
-    """The speed-limit scalars of ``build_model(cfg, row)`` for every row of
-    ``columns``, equal-length lists of values keyed by parameter name, as
-    four lists: delta_h0, g_term, e_term and v_coeff.
+    """The speed-limit scalars of cfg's model at every row of ``columns``,
+    equal-length lists of values keyed by parameter name that replace the
+    config's own, as four lists: delta_h0, g_term, e_term and v_coeff.
 
     delta_h0 is linear in omega, and g_term and e_term are linear in gamma,
     since every jump operator is sqrt(gamma) times a unit one. So
     ``compute_quantities`` runs once per distinct unit-rate model (omega =
-    gamma = 1 and a row's other parameters), and each row scales its terms
+    gamma = 1 and a row's other parameters, built by ``preset_model``; an
+    inline model is ``build_model(cfg)``), and each row scales its terms
     by its own rates with the arithmetic of ``QslQuantities.from_terms``:
     omega * delta_h0, gamma * g_term, gamma * e_term and
     v = 2 delta_h0 + sqrt(2) g_term. An inline model, and the emission
@@ -395,8 +376,10 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
     such as theta_target, changes no scalar.
 
     The fixed parameters are checked once and each swept value by its
-    preset's rule, so the first row that build_model would reject raises
-    the same ConfigError, after the unit-rate models of the rows before it.
+    preset's rule, in the preset's order. The first row that breaks a rule
+    raises its ConfigError after the unit-rate models of the rows before
+    it are built, so a product chain over the dense cap in an earlier row
+    is reported first.
     """
     rows = len(next(iter(columns.values())))
     preset = _preset(cfg)
@@ -408,7 +391,7 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
     # The first row that breaks a rule; a fixed value is checked on row 0.
     bad, problem = rows, None
     for key, values in params.items():
-        test, message = _rule(preset, key)
+        test, message = EMISSION_GAMMA_RULE if preset == "emission" else PARAMETER_RULES[key]
         checked = values if key in columns else values[:1]
         first = next((i for i, v in enumerate(checked) if not test(v)), rows)
         if first < bad:
@@ -416,11 +399,16 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
 
     shape = [key for key in params if key not in ("omega", "gamma")]
     keys = list(zip(*(params[key] for key in shape))) if shape else [()] * rows
+    unit_rates = {key: 1.0 for key in params if key not in shape}
     unit = {}
     for key in keys[:bad]:
         if key not in unit:
-            overrides = {**dict(zip(shape, key)), "omega": 1.0, "gamma": 1.0}
-            unit[key] = compute_quantities(*build_model(cfg, overrides))
+            built = (
+                preset_model(preset, {**dict(zip(shape, key)), **unit_rates})
+                if preset
+                else build_model(cfg)
+            )
+            unit[key] = compute_quantities(*built)
     if problem is not None:
         raise ConfigError(f"[parameters]: {problem}")
 

@@ -520,8 +520,8 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
         raise DimensionMismatchError(
             f"state dimension {psi0.size} != model dimension {model.dim}"
         )
-    if not (t_end > 0.0) or not (dt > 0.0):
-        raise ValueError("t_end and dt must be positive")
+    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("t_end and dt must be positive and finite")
     if dt > t_end * (1.0 + 1e-12):
         raise ValueError("dt must not exceed t_end")
 

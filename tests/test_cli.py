@@ -148,6 +148,23 @@ class TestExitCodes:
             ),
             ("qsl", "[sweep]\nname = gamma\nvalues = 1, 0", "[parameters]: gamma must be positive"),
             ("fig1a", "[parameters]\ntheta = 4", "[parameters]: theta must lie in [0, pi]"),
+            # a model built from the config's own [parameters]
+            (
+                "qfi",
+                "[model]\npreset = dephasing\n[parameters]\nomega = 0",
+                "[parameters]: omega must be positive",
+            ),
+            ("evolve", "[parameters]\ngamma = -1", "[parameters]: gamma must be positive"),
+            (
+                "evolve",
+                "[model]\npreset = product\n[parameters]\nn = 13",
+                "[parameters]: dense product model capped at 12 qubits (requested 13)",
+            ),
+            (
+                "qfi",
+                "[model]\npreset = product\n[parameters]\ntheta = 4",
+                "[parameters]: theta must lie in [0, pi]",
+            ),
         ],
     )
     def test_input_outside_its_domain_exits_one(self, tmp_path, capsys, command, text, where):
@@ -229,10 +246,13 @@ def reference_qsl_row(cfg, value):
     rate-scaled sweep replaces."""
     theta_target = cfg.param("theta_target", math.pi / 4)
     if cfg.sweep_name in (None, "theta_target"):
-        target, overrides = value, {}
+        target, row_cfg = value, cfg
     else:
-        target, overrides = theta_target, {cfg.sweep_name: value}
-    q = qsl.compute_quantities(*build_model(cfg, overrides))
+        target = theta_target
+        row_cfg = ExperimentConfig(
+            preset=cfg.preset, parameters={**cfg.parameters, cfg.sweep_name: value}
+        )
+    q = qsl.compute_quantities(*build_model(row_cfg))
     try:
         bound, lower, status = qsl.t_qsl(q, target), qsl.qsl_lower_bound(q, target), "ok"
     except FrozenDynamicsError:
@@ -364,8 +384,10 @@ class TestRateScaledSweeps:
             want = [gamma]
             for omega in cli.FIG1A_OMEGAS:
                 model, psi0 = build_model(
-                    ExperimentConfig(preset="dephasing"),
-                    {"omega": omega, "gamma": gamma, "theta": 1.1},
+                    ExperimentConfig(
+                        preset="dephasing",
+                        parameters={"omega": omega, "gamma": gamma, "theta": 1.1},
+                    )
                 )
                 want.append(qsl.t_qsl(qsl.compute_quantities(model, psi0), 0.6))
             assert_row_matches(row, want)

@@ -116,7 +116,8 @@ class TestSweepColumns:
             row = {**fixed, **{key: values[i] for key, values in columns.items()}}
             omega = row.pop("omega", 1.0) if preset != "emission" else 1.0
             gamma = row.pop("gamma", 1.0)
-            unit = qsl.compute_quantities(*build_model(cfg, {**row, "omega": 1.0, "gamma": 1.0}))
+            unit_cfg = ExperimentConfig(preset=preset, parameters={**row, "omega": 1.0, "gamma": 1.0})
+            unit = qsl.compute_quantities(*build_model(unit_cfg))
             want = qsl.QslQuantities.from_terms(
                 omega * unit.delta_h0, gamma * unit.g_term, gamma * unit.e_term
             )

@@ -787,6 +787,16 @@ class TestEvolve:
         with pytest.raises(DimensionMismatchError):
             evolve(model, np.array([1.0, 0.0, 0.0]), 1.0, 1e-3)
 
+    def test_non_finite_times_rejected(self):
+        model, psi0 = spontaneous_emission_model(1.0)
+        message = "^t_end and dt must be positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            evolve(model, psi0, np.inf, 1e-3)
+        with pytest.raises(ValueError, match=message):
+            evolve(model, psi0, np.inf, np.inf)
+        with pytest.raises(ValueError, match=message):
+            fisher.verify_fisher_tradeoff(model, psi0, [1e-3, np.inf], 1e-3)
+
     def test_unstable_step_raises_quality_error(self):
         # step size puts the decay mode at h*lambda = -4, outside the RK4
         # stability interval, so the population mode grows ~5x per step
