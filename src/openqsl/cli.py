@@ -207,8 +207,8 @@ def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
     model, psi0 = preset_model("emission", {"gamma": gamma})
     # All damping-model times scale as 1/gamma; stepping in scaled time
     # keeps the grid resolution identical across gamma values.
-    dt = (cfg.dt or 1e-4) / gamma
-    horizon = (cfg.horizon or 10.0) / gamma
+    horizon, dt = cfg.integrator(10.0, 1e-4)
+    horizon, dt = horizon / gamma, dt / gamma
     q = qsl.compute_quantities(model, psi0)
     traj = evolve(model, psi0, horizon, dt)
 
@@ -250,13 +250,14 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
+    horizon, dt = cfg.integrator(12.0, 1e-3)
     results = verify.run_all(
         seed=args.seed,
         n_models=int(cfg.param("n_models", 300)),
         n_fisher_models=int(cfg.param("n_fisher_models", 100)),
         n_scalar_samples=int(cfg.param("n_scalar_samples", 10_000)),
-        horizon=cfg.horizon or 12.0,
-        dt=cfg.dt or 1e-3,
+        horizon=horizon,
+        dt=dt,
     )
     report = {
         "seed": args.seed,
@@ -276,7 +277,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     path = args.output or cfg.output_path or "verify.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_to_json(report) + "\n")
-    _write_sidecar(path, cfg, args.seed, cfg.dt or 1e-3)
+    _write_sidecar(path, cfg, args.seed, dt)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         skipped = "".join(f", {n} skipped ({reason})" for reason, n in r.skipped.items())
@@ -315,7 +316,7 @@ def cmd_qfi(cfg: ExperimentConfig, args) -> int:
 
 def cmd_evolve(cfg: ExperimentConfig, args) -> int:
     model, psi0 = build_model(cfg)
-    traj = evolve(model, psi0, cfg.horizon or 5.0, cfg.dt or 1e-3)
+    traj = evolve(model, psi0, *cfg.integrator(5.0, 1e-3))
     rows = [
         [traj.times[k], traj.bures_angles[k], traj.trace_errors[k], traj.min_eigs[k]]
         for k in range(len(traj.times))

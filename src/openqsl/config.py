@@ -48,7 +48,7 @@ from .models import (
     product_model_dense,
     spontaneous_emission_model,
 )
-from .qsl import compute_quantities
+from .qsl import compute_quantities, v_coefficient
 
 # The [parameters] keys that each preset's model reads, with their
 # defaults; an inline model reads none.
@@ -82,7 +82,6 @@ _PARAMETER_KEYS = set(_DOMAINS) | _MODEL_PARAMETERS
 _INTEGRATOR_KEYS = {"dt", "horizon"}
 _SWEEP_KEYS = {"name", "values"}
 _OUTPUT_KEYS = {"path", "format"}
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -109,6 +108,15 @@ class ExperimentConfig:
         if problem:
             raise ConfigError(f"[parameters] {key}: {problem}")
         return value
+
+    def integrator(self, horizon: float, dt: float) -> tuple:
+        """The [integrator] (horizon, dt), each defaulting to the command's
+        own; a dt longer than the horizon, beyond the 1e-12 relative slack
+        of ``dynamics.evolve``, raises ConfigError."""
+        horizon, dt = self.horizon or horizon, self.dt or dt
+        if dt > horizon * (1.0 + 1e-12):
+            raise ConfigError(f"[integrator] dt: {dt!r} exceeds the horizon {horizon!r}")
+        return horizon, dt
 
     def sweep(self) -> list:
         """The [sweep] values, each checked against the domain of the key
@@ -417,5 +425,5 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
     delta_h0 = [w * q.delta_h0 for w, q in zip(params.get("omega", ones), units)]
     g_term = [r * q.g_term for r, q in zip(params.get("gamma", ones), units)]
     e_term = [r * q.e_term for r, q in zip(params.get("gamma", ones), units)]
-    v_coeff = [2.0 * h + _SQRT2 * g for h, g in zip(delta_h0, g_term)]
+    v_coeff = list(map(v_coefficient, delta_h0, g_term))
     return delta_h0, g_term, e_term, v_coeff

@@ -1,5 +1,10 @@
 """Lindblad generator and fixed-step RK4 trajectory integration.
 
+The model caches K = sum_k L_k^dag L_k / 2 and the pairs (L_k, L_k^dag),
+from which ``_dissipate`` alone writes the summed dissipator or its
+adjoint; ``lindblad_rhs`` takes 4 + 2k matrix products for k jump
+operators, 2 for a closed model.
+
 The generator A is time independent, so the classical RK4 step of size h
 applied to the linear master equation equals the degree-4 Taylor
 polynomial P(h) = sum_k (hA)^k / k! of the step propagator. For small
@@ -42,7 +47,8 @@ RENORM_THRESHOLD = 1e-12
 FIRST_PASSAGE_RESOLUTION = 1e-8
 # Largest dimension whose d^2 x d^2 superoperator path, its d^6 build
 # included, beats stepping by four lindblad_rhs calls on a 1000-step
-# trajectory (measured).
+# trajectory (measured). One-channel models set it: their call takes 6
+# products with the cached K as it did with L^dag L, so the limit holds.
 SUPEROP_DIM_LIMIT = 24
 # Largest span of a state, the steps since its last rescaled ancestor; the
 # trace rounding of P^m grows like m. On verify's 300 bound_dominance runs
@@ -114,37 +120,49 @@ class LindbladModel:
         return a
 
     @functools.cached_property
-    def _jump_terms(self) -> tuple:
-        """(L, L^dag, L^dag L) of every jump operator, built on first use."""
-        return tuple((op, op.conj().T, op.conj().T @ op) for op in self.lindblad_ops)
+    def _jumps(self) -> tuple:
+        """(K, ((L, L^dag), ...)) with K = sum L^dag L / 2 over the jump
+        operators, built on first use; K is zero for a closed model."""
+        pairs = tuple((op, op.conj().T) for op in self.lindblad_ops)
+        ldl = [l_dag @ l for l, l_dag in pairs] or [np.zeros_like(self.hamiltonian)]
+        return 0.5 * functools.reduce(np.add, ldl), pairs
+
+
+def _dissipate(k, pairs, x, adjoint=False):
+    """sum a x b over the (a, b) pairs, or sum b x a when ``adjoint``,
+    minus (k x + x k): the summed dissipators of the pairs' operators, or
+    their adjoints, where k is half their summed L^dag L."""
+    out = -(k @ x + x @ k)
+    for a, b in pairs:
+        out += b @ x @ a if adjoint else a @ x @ b
+    return out
 
 
 def dissipator(l: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """L rho L^dag - {L^dag L, rho}/2; traceless for any rho."""
     linalg._check_same_shape(l, rho)
-    return _dissipate(l, l.conj().T, l.conj().T @ l, rho)
-
-
-def _dissipate(l, l_dag, ldl, rho):
-    return l @ rho @ l_dag - 0.5 * (ldl @ rho + rho @ ldl)
+    l_dag = l.conj().T
+    return _dissipate(0.5 * (l_dag @ l), ((l, l_dag),), rho)
 
 
 def adjoint_dissipator(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Heisenberg-picture adjoint: L^dag a L - {L^dag L, a}/2."""
     linalg._check_same_shape(l, a)
     l_dag = l.conj().T
-    return _dissipate(l_dag, l, l_dag @ l, a)
+    return _dissipate(0.5 * (l_dag @ l), ((l, l_dag),), a, adjoint=True)
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """-i[H, rho] plus the summed dissipators of the model."""
+    """-i[H, rho] plus the summed dissipators of the model, from the cached
+    K = sum L^dag L / 2: 4 + 2k matrix products for k jump operators, and
+    the commutator's 2 for a closed model."""
     if rho.shape != model.hamiltonian.shape:
         raise DimensionMismatchError(
             f"state shape {rho.shape} != model dimension {model.hamiltonian.shape}"
         )
     out = -1j * linalg.commutator(model.hamiltonian, rho)
-    for l, l_dag, ldl in model._jump_terms:
-        out += _dissipate(l, l_dag, ldl, rho)
+    if model.lindblad_ops:
+        out += _dissipate(*model._jumps, rho)
     return out
 
 
@@ -157,7 +175,8 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     h = model.hamiltonian
     eye = np.eye(model.dim, dtype=complex)
     a = -1j * (linalg.kron(h, eye) - linalg.kron(eye, h.T))
-    for l, _, ldl in model._jump_terms:
+    for l in model.lindblad_ops:
+        ldl = l.conj().T @ l
         a += linalg.kron(l, l.conj())
         a -= 0.5 * (linalg.kron(ldl, eye) + linalg.kron(eye, ldl.T))
     return a
@@ -225,7 +244,8 @@ def _taylor_terms(model: LindbladModel, flat: np.ndarray) -> np.ndarray:
     ``flat`` is an (m, d^2) stack of row-major flattened states and the
     result has shape (5, m, d^2). A is applied four times to the whole
     stack: as the cached Liouvillian for d <= SUPEROP_DIM_LIMIT, and by
-    ``lindblad_rhs`` on each state above it.
+    ``lindblad_rhs`` on each state above it, 4 + 2k products of d x d
+    matrices each for k jump operators.
     """
     d = model.dim
     terms = np.empty((5,) + flat.shape, dtype=complex)
@@ -632,11 +652,12 @@ def theta_dot_exact(model: LindbladModel, rho0: np.ndarray, rho_t, theta_t):
     """Exact instantaneous rate of the Bures angle along the dynamics.
 
     Evaluates Re Tr(W rho_t) / sin(2 theta) with W = i[rho0, H] - sum_k D_k^dag(rho0),
-    the time derivative of arccos(sqrt(Tr(rho0 rho_t))) under the master
-    equation. One state (d, d) with its angle gives a float; a stack
-    (m, d, d) with m angles gives m rates from one product with W. An angle
-    within 1e-6 of the singular points 0 and pi/2, or NaN, raises
-    ``SingularPointError`` naming it.
+    the adjoint sum from the model's cached K, the time derivative of
+    arccos(sqrt(Tr(rho0 rho_t))) under the master equation. One state
+    (d, d) with its angle gives a float; a stack (m, d, d) with m angles
+    gives m rates from one product with W. An angle within 1e-6 of the
+    singular points 0 and pi/2, or NaN, raises ``SingularPointError``
+    naming it.
     """
     theta_t = np.asarray(theta_t, dtype=float)
     singular = ~((theta_t >= 1e-6) & (theta_t <= np.pi / 2 - 1e-6))
@@ -645,8 +666,8 @@ def theta_dot_exact(model: LindbladModel, rho0: np.ndarray, rho_t, theta_t):
             f"theta = {theta_t[singular][0]:.3e} is within 1e-6 of a singular endpoint"
         )
     w = 1j * linalg.commutator(rho0, model.hamiltonian)
-    for l, l_dag, ldl in model._jump_terms:
-        w -= _dissipate(l_dag, l, ldl, rho0)
+    if model.lindblad_ops:
+        w -= _dissipate(*model._jumps, rho0, adjoint=True)
     if np.shape(rho_t) != theta_t.shape + w.shape:
         raise DimensionMismatchError(f"states {np.shape(rho_t)} mismatch angles {theta_t.shape}")
     num = (np.reshape(rho_t, theta_t.shape + (-1,)) @ w.T.reshape(-1)).real

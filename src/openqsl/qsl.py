@@ -4,7 +4,8 @@ All scalars derive from the initial pure state and the generator:
 
 * ``delta_h0``  energy standard deviation (unitary contribution),
 * ``g_term``    Frobenius norm of the summed adjoint dissipator applied to
-                the initial state (dissipative deformation),
+                the initial state (dissipative deformation), the sum the
+                model's generator and ``dynamics.theta_dot_exact`` share,
 * ``e_term``    summed variance of the jump operators in the initial state
                 (fluctuation contribution),
 * ``v_coeff``   effective speed 2*delta_h0 + sqrt(2)*g_term.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import LindbladModel, adjoint_dissipator
+from .dynamics import LindbladModel, _dissipate
 from .errors import FrozenDynamicsError, SingularPointError
 
 # Below PHI_SERIES_MAX, phi(x) = sum_n (-1)^n x^n/(n+2) is summed by Horner's
@@ -33,6 +34,11 @@ from .errors import FrozenDynamicsError, SingularPointError
 # error by at most about 2/x = 20.
 PHI_SERIES_MAX = 0.1
 _PHI_COEFFS = tuple((-1.0) ** n / (n + 2) for n in reversed(range(17)))
+
+
+def v_coefficient(delta_h0: float, g_term: float) -> float:
+    """The effective speed v = 2 delta_h0 + sqrt(2) g_term."""
+    return 2.0 * delta_h0 + math.sqrt(2.0) * g_term
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class QslQuantities:
     @classmethod
     def from_terms(cls, delta_h0: float, g_term: float, e_term: float) -> "QslQuantities":
         delta_h0, g_term, e_term = float(delta_h0), float(g_term), float(e_term)
-        v = 2.0 * delta_h0 + math.sqrt(2.0) * g_term
+        v = v_coefficient(delta_h0, g_term)
         r = v / e_term if e_term > 0.0 else None
         return cls(delta_h0=delta_h0, g_term=g_term, e_term=e_term, v_coeff=v, ratio_r=r)
 
@@ -64,14 +70,12 @@ def compute_quantities(model: LindbladModel, psi0) -> QslQuantities:
     delta_h0 = math.sqrt(float(np.real(np.vdot(dev, dev))))
 
     rho0 = linalg.projector(psi0)
-    deformation = np.zeros_like(rho0)
+    g_term = linalg.frobenius_norm(_dissipate(*model._jumps, rho0, adjoint=True))
     e_term = 0.0
     for op in model.lindblad_ops:
-        deformation += adjoint_dissipator(op, rho0)
         dev = op @ psi0
         dev -= np.vdot(psi0, dev) * psi0
         e_term += float(np.real(np.vdot(dev, dev)))
-    g_term = linalg.frobenius_norm(deformation)
     return QslQuantities.from_terms(delta_h0, g_term, e_term)
 
 

@@ -165,6 +165,11 @@ class TestExitCodes:
                 "[model]\npreset = product\n[parameters]\ntheta = 4",
                 "[parameters]: theta must lie in [0, pi]",
             ),
+            # a step longer than the horizon, given or the command's default
+            ("evolve", "[integrator]\ndt = 2\nhorizon = 1", "[integrator] dt:"),
+            ("fig1b", "[integrator]\ndt = 2\nhorizon = 1", "[integrator] dt:"),
+            ("verify", "[integrator]\ndt = 2\nhorizon = 1", "[integrator] dt:"),
+            ("evolve", "[integrator]\ndt = 20", "[integrator] dt:"),
         ],
     )
     def test_input_outside_its_domain_exits_one(self, tmp_path, capsys, command, text, where):

@@ -1,3 +1,4 @@
+import functools
 import re
 import warnings
 
@@ -149,7 +150,9 @@ class TestLindbladRhs:
             assert abs(np.trace(out)) < 1e-12 * max(1.0, linalg.frobenius_norm(rho))
 
     def test_bitwise_equal_to_summed_dissipators(self, rng):
-        # the model's cached L^dag L products change no bit of the result
+        # With at most one jump operator the cached K = sum L^dag L / 2
+        # changes no bit of the result; with more it sums the L^dag L first,
+        # which the K form written out here repeats bit for bit.
         for dim in range(2, 7):
             for n_ops in range(4):
                 model = LindbladModel(
@@ -157,11 +160,50 @@ class TestLindbladRhs:
                     lindblad_ops=tuple(random_complex_matrix(rng, dim) for _ in range(n_ops)),
                 )
                 rho = random_complex_matrix(rng, dim)
-                want = -1j * linalg.commutator(model.hamiltonian, rho)
+                got = lindblad_rhs(model, rho)
+                summed = -1j * linalg.commutator(model.hamiltonian, rho)
                 for op in model.lindblad_ops:
-                    want += dissipator(op, rho)
-                assert lindblad_rhs(model, rho).tobytes() == want.tobytes()
-                assert model._jump_terms is model._jump_terms
+                    summed += dissipator(op, rho)
+                if n_ops <= 1:
+                    assert got.tobytes() == summed.tobytes()
+                else:
+                    h, ops = model.hamiltonian, model.lindblad_ops
+                    k = 0.5 * functools.reduce(np.add, [op.conj().T @ op for op in ops])
+                    want = -1j * (h @ rho - rho @ h)
+                    dissipative = -(k @ rho + rho @ k)
+                    for op in ops:
+                        dissipative += op @ rho @ op.conj().T
+                    want += dissipative
+                    assert got.tobytes() == want.tobytes()
+                    assert np.abs(got - summed).max() <= 1e-14 * np.abs(summed).max()
+                assert model._jumps is model._jumps
+
+    @pytest.mark.parametrize("n_ops", range(4))
+    def test_products_per_call(self, rng, n_ops):
+        # the commutator's 2, then K rho and rho K and 2 per jump operator
+        model = LindbladModel(
+            hamiltonian=random_hermitian(rng, 4),
+            lindblad_ops=tuple(random_complex_matrix(rng, 4) for _ in range(n_ops)),
+        )
+        model._jumps  # built once, outside the count
+        products = []
+
+        class Counting(np.ndarray):
+            # Records every matrix product taken with a Counting operand;
+            # the results are Counting too, so chained products count.
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(method)
+
+                def plain(arrays):
+                    return tuple(a.view(np.ndarray) if isinstance(a, Counting) else a for a in arrays)
+
+                if "out" in kwargs:
+                    kwargs["out"] = plain(kwargs["out"])
+                return getattr(ufunc, method)(*plain(inputs), **kwargs).view(Counting)
+
+        lindblad_rhs(model, random_complex_matrix(rng, 4).view(Counting))
+        assert len(products) == (4 + 2 * n_ops if n_ops else 2)
 
 
 class TestModelValidation:
@@ -1221,6 +1263,17 @@ class TestThetaDotExact:
         ) / np.sin(2 * theta)
         got = theta_dot_exact(model, traj.rho0, traj.states[k], theta)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_one_channel_is_bitwise_the_adjoint_dissipator_form(self, rng):
+        for dim in range(2, 7):
+            op = random_complex_matrix(rng, dim)
+            model = LindbladModel(hamiltonian=random_hermitian(rng, dim), lindblad_ops=(op,))
+            rho0 = linalg.projector(random_state(rng, dim))
+            states = np.array([linalg.projector(random_state(rng, dim)) for _ in range(5)])
+            thetas = np.linspace(0.2, 1.2, 5)
+            w = 1j * linalg.commutator(rho0, model.hamiltonian) - adjoint_dissipator(op, rho0)
+            want = (states.reshape(5, -1) @ w.T.reshape(-1)).real / np.sin(2.0 * thetas)
+            assert theta_dot_exact(model, rho0, states, thetas).tobytes() == want.tobytes()
 
     def test_singular_points_rejected(self):
         model, psi0 = spontaneous_emission_model(1.0)

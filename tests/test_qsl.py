@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from openqsl import linalg, qsl
-from openqsl.dynamics import LindbladModel
+from openqsl.dynamics import LindbladModel, adjoint_dissipator
 from openqsl.errors import FrozenDynamicsError, SingularPointError
 from openqsl.models import (
     SIGMA_X,
@@ -95,6 +95,14 @@ class TestComputeQuantities:
             deformation += adjoint_dissipator(op, rho0)
         assert q.e_term == pytest.approx(e_sum, abs=1e-12)
         assert q.g_term == pytest.approx(linalg.frobenius_norm(deformation), abs=1e-12)
+
+    def test_one_channel_g_is_bitwise_the_adjoint_dissipator_norm(self, rng):
+        for dim in range(2, 7):
+            op = random_complex_matrix(rng, dim)
+            psi = linalg.pure_state(random_state(rng, dim))
+            q = qsl.compute_quantities(LindbladModel(random_hermitian(rng, dim), (op,)), psi)
+            want = linalg.frobenius_norm(adjoint_dissipator(op, linalg.projector(psi)))
+            assert q.g_term == want
 
     @pytest.mark.parametrize("n_ops", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -12,17 +12,19 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
 
 - ``dynamics._propagate`` and ``dynamics._certified`` (the quality gate's
   per-state certificate) on one random model per dimension and step count
-  of ``GRID``, h = 1e-3; the median of repeated calls per cell;
+  of ``GRID``, h = 1e-3, and one ``dynamics.lindblad_rhs`` call on the
+  product chain of each size in ``RHS_CHAINS`` at its initial state; the
+  median and the minimum of repeated calls per cell;
 - every ``verify`` suite once at its default settings, and their sum;
 - ``cli.main`` in process for ``qsl``, ``fig1a`` and ``scaling`` at their
   default config, the median of repeated calls: the sweep layer without
   the interpreter start and the imports.
 
 Without ``--parent`` only the current checkout runs. The output file holds
-every round's numbers, the medians per side, in how many rounds the change
-was faster, the ``src/`` line count of each checkout, whether its ``src/``
-differs from its commit (and a hash of the difference), and the machine
-record of ``perfbench/environment.py``.
+every round's numbers, the median and the minimum of the rounds per side,
+in how many rounds the change was faster, the ``src/`` line count of each
+checkout, whether its ``src/`` differs from its commit (and a hash of the
+difference), and the machine record of ``perfbench/environment.py``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -50,6 +53,9 @@ GRID = (
     *((d, (1000,)) for d in (28, 32)),
 )
 STEP = 1e-3
+# Qubit counts n of the product chains (d = 2^n, n jump operators) whose
+# lindblad_rhs call is timed: above SUPEROP_DIM_LIMIT, where it steps.
+RHS_CHAINS = (5, 6)
 # Repeats of a cell: enough for about CELL_SECONDS, within REPEATS.
 CELL_SECONDS = 0.2
 REPEATS = (3, 15)
@@ -64,7 +70,9 @@ SUITES = (
 )
 
 
-def _median_ms(fn) -> float:
+def _time_ms(out: dict, group: str, key: str, fn) -> None:
+    """Median of repeated calls of fn, in ms, as out[group][key], and their
+    minimum as out[group + "_min"][key]."""
     t = time.perf_counter()
     fn()
     first = time.perf_counter() - t
@@ -74,7 +82,8 @@ def _median_ms(fn) -> float:
         t = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t)
-    return 1e3 * statistics.median(times)
+    out[group][key] = 1e3 * statistics.median(times)
+    out[group + "_min"][key] = 1e3 * min(times)
 
 
 def worker(checkout: str) -> dict:
@@ -82,20 +91,29 @@ def worker(checkout: str) -> dict:
     src = os.path.join(os.path.abspath(checkout), "src")
     sys.path.insert(0, src)
     import numpy as np
-    from openqsl import cli, dynamics, linalg, verify
+    from openqsl import cli, dynamics, linalg, models, verify
 
-    out = {"layers": {}, "verify_s": {}, "cli_main_ms": {}}
+    groups = ("layers", "layers_min", "verify_s", "cli_main_ms", "cli_main_ms_min")
+    out = {group: {} for group in groups}
     for d, ns in GRID:
         for n in ns:
             model, psi0 = verify.random_model(np.random.default_rng([d, n]), d)
             rho0 = linalg.projector(psi0 / np.linalg.norm(psi0))
             states = dynamics._propagate(model, rho0, n, STEP)[0]
-            out["layers"][f"_propagate d={d} n={n}"] = _median_ms(
-                lambda: dynamics._propagate(model, rho0, n, STEP)
+            _time_ms(
+                out,
+                "layers",
+                f"_propagate d={d} n={n}",
+                lambda: dynamics._propagate(model, rho0, n, STEP),
             )
-            out["layers"][f"_certified d={d} n={n}"] = _median_ms(
-                lambda: dynamics._certified(states)
-            )
+            _time_ms(out, "layers", f"_certified d={d} n={n}", lambda: dynamics._certified(states))
+    for n in RHS_CHAINS:
+        params = models.ProductModelParams(n=n, omega=1.0, gamma=1.0, theta=math.pi / 4)
+        model, psi0 = models.product_model_dense(params)
+        rho0 = linalg.projector(psi0)
+        _time_ms(
+            out, "layers", f"lindblad_rhs product n={n}", lambda: dynamics.lindblad_rhs(model, rho0)
+        )
     for name in SUITES:
         t = time.perf_counter()
         getattr(verify, name)()
@@ -104,7 +122,7 @@ def worker(checkout: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for command in IN_PROCESS_COMMANDS:
             argv = [command, "--output", os.path.join(tmp, command)]
-            out["cli_main_ms"][command] = _median_ms(lambda: cli.main(argv))
+            _time_ms(out, "cli_main_ms", command, lambda: cli.main(argv))
     return out
 
 
@@ -150,16 +168,18 @@ def _cli_seconds(checkout: str) -> dict:
 
 
 def _summary(runs: dict) -> dict:
-    """Per timing: each side's rounds and median, and the rounds the change won."""
+    """Per timing: each side's rounds, their median and minimum, and the
+    rounds the change won."""
     rows = {}
     for side, results in runs.items():
         for result in results:
-            for group in ("layers", "verify_s", "cli_main_ms", "cli_s"):
-                for key, value in result[group].items():
+            for group, values in result.items():
+                for key, value in values.items():
                     rows.setdefault(f"{group}/{key}", {}).setdefault(side, []).append(value)
     for row in rows.values():
         for side in list(row):
             row[f"{side}_median"] = statistics.median(row[side])
+            row[f"{side}_min"] = min(row[side])
         if "parent" in row:
             row["change_faster"] = sum(c < p for c, p in zip(row["change"], row["parent"]))
             row["ratio"] = row["change_median"] / row["parent_median"]
@@ -204,8 +224,10 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "units": {
             "layers": "ms, median of repeated calls",
+            "layers_min": "ms, minimum of the same calls",
             "verify_s": "s, one run",
             "cli_main_ms": "ms, median of repeated in-process cli.main calls",
+            "cli_main_ms_min": "ms, minimum of the same calls",
             "cli_s": "s, wall time of one fresh process",
         },
         "timings": _summary(runs),
