@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
+import stat
 import warnings
 
+import numpy as np
 import pytest
 
 from openqsl import cli, config, dynamics, qsl, verify
@@ -19,6 +22,12 @@ def write_config(tmp_path, text: str) -> str:
 
 def run(tmp_path, *argv) -> int:
     return cli.main([*argv, "--output", str(tmp_path / "out.csv")])
+
+
+def stub_verify(monkeypatch):
+    result = PropertyResult("stub")
+    result.record(0.25, False)
+    monkeypatch.setattr(verify, "run_all", lambda **kwargs: [result])
 
 
 class TestExitCodes:
@@ -210,6 +219,42 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out == "pass stub: 1 checks, 3 skipped (unreachable_target), worst margin 5.000e-01\n"
 
+    @pytest.mark.parametrize("command", ["qsl", "scaling", "verify"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        stub_verify(monkeypatch)
+        path = tmp_path / "missing" / "out.csv"
+        assert cli.main([command, "--output", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {str(path)!r}: ")
+
+    def test_unwritable_sidecar_exits_one(self, tmp_path, capsys):
+        (tmp_path / "out.csv.meta.json").mkdir()
+        assert run(tmp_path, "qsl") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output ") and "out.csv.meta.json" in err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["--format", "csv"], ""), ([], "[output]\nformat = csv\n")],
+        ids=["flag", "config"],
+    )
+    def test_verify_csv_request_exits_one(self, tmp_path, capsys, monkeypatch, argv, text):
+        def unreachable(**kwargs):
+            raise AssertionError("run_all reached")
+
+        monkeypatch.setattr(verify, "run_all", unreachable)
+        config_args = ["--config", write_config(tmp_path, text)] if text else []
+        assert run(tmp_path, "verify", *argv, *config_args) == 1
+        assert capsys.readouterr().err.startswith("config error: --format / [output] format: ")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["--format", "json"]], ids=["default", "json"])
+    def test_verify_writes_json_by_default(self, tmp_path, monkeypatch, argv):
+        stub_verify(monkeypatch)
+        assert run(tmp_path, "verify", *argv) == 0
+        assert json.loads((tmp_path / "out.csv").read_text())["all_passed"] is True
+
+
 class TestParserPerProcess:
     def test_format_of_one_call_does_not_carry_over(self, tmp_path):
         assert cli.main(["qsl", "--format", "json", "--output", str(tmp_path / "a")]) == 0
@@ -239,6 +284,75 @@ def test_repeated_runs_are_byte_identical(tmp_path, command):
         assert cli.main([command, "--output", str(path)]) == 0
         outputs.append((path.read_bytes(), (tmp_path / run_dir / "out.csv.meta.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "command", ["qsl", "fig1a", "fig1b", "scaling", "verify", "qfi", "evolve"]
+    )
+    def test_overwriting_a_longer_file_equals_a_fresh_write(self, tmp_path, monkeypatch, command):
+        stub_verify(monkeypatch)
+        fresh, old = tmp_path / "fresh" / "out", tmp_path / "old" / "out"
+        fresh.parent.mkdir()
+        old.parent.mkdir()
+        assert cli.main([command, "--output", str(fresh)]) == 0
+        pairs = [(old, fresh), (old.with_name("out.meta.json"), fresh.with_name("out.meta.json"))]
+        for path, written in pairs:
+            path.write_bytes(b"\xff" * (2 * written.stat().st_size + 100))
+        assert cli.main([command, "--output", str(old)]) == 0
+        for path, written in pairs:
+            assert path.read_bytes() == written.read_bytes()
+
+    def test_devnull_output_exits_zero(self, tmp_path):
+        # a link in tmp_path, so that the sidecar lands there and not in /dev
+        (tmp_path / "out.csv").symlink_to(os.devnull)
+        assert run(tmp_path, "qsl") == 0
+        assert (tmp_path / "out.csv").is_symlink()
+        assert (tmp_path / "out.csv.meta.json").read_text().startswith("{\n")
+
+    def test_symlinked_output_stays_a_link(self, tmp_path):
+        assert cli.main(["qsl", "--output", str(tmp_path / "fresh.csv")]) == 0
+        target = tmp_path / "target.csv"
+        target.write_text("x" * 10_000)
+        (tmp_path / "out.csv").symlink_to(target)
+        assert run(tmp_path, "qsl") == 0
+        assert (tmp_path / "out.csv").is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_existing_file_keeps_mode_inode_and_links(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("x" * 10_000)
+        path.chmod(0o640)
+        os.link(path, tmp_path / "link.csv")
+        inode = path.stat().st_ino
+        assert run(tmp_path, "qsl") == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.stat().st_ino == inode
+        assert (tmp_path / "link.csv").read_text().startswith("sweep_value,")
+
+    @pytest.mark.parametrize(
+        "text, dt",
+        [
+            ("", 1e-05),
+            # the run steps once, at the last grid time
+            ("[integrator]\ndt = 1\n", float(np.logspace(-3, math.log10(0.04), 9)[-1])),
+            ("[integrator]\ndt = 1\n[sweep]\nname = t\nvalues = 0.001, 0.003\n", 0.003),
+        ],
+        ids=["default", "dt-past-grid", "dt-past-swept-grid"],
+    )
+    def test_qfi_sidecar_records_the_step_taken(self, tmp_path, text, dt):
+        argv = ["--config", write_config(tmp_path, text)] if text else []
+        assert run(tmp_path, "qfi", *argv) == 0
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["dt"] == dt
+
+    def test_json_numbers_keep_their_bytes(self):
+        values = [0.1, -0.0, 1e300, 5e-324, math.inf, -math.inf, math.nan, np.float64(0.1), True, 3]
+        assert cli._to_json({"v": values}) == (
+            '{\n  "v": [\n    0.10000000000000001,\n    -0,\n    1.0000000000000001e+300,\n'
+            '    4.9406564584124654e-324,\n    "inf",\n    "-inf",\n    "nan",\n'
+            "    0.10000000000000001,\n    true,\n    3\n  ]\n}"
+        )
 
 
 def read_csv(path):

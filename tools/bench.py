@@ -18,7 +18,10 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
 - every ``verify`` suite once at its default settings, and their sum;
 - ``cli.main`` in process for ``qsl``, ``fig1a`` and ``scaling`` at their
   default config, the median of repeated calls: the sweep layer without
-  the interpreter start and the imports.
+  the interpreter start and the imports;
+- the CLI's file writer on a 64-row ``qsl`` table and on the default
+  5001-row ``evolve`` table, each to a fresh path per call and over the
+  same path each call (``WRITER_TABLES``).
 
 Without ``--parent`` only the current checkout runs. The output file holds
 every round's numbers, the median and the minimum of the rounds per side,
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -61,6 +65,24 @@ CELL_SECONDS = 0.2
 REPEATS = (3, 15)
 COMMANDS = ("qsl", "fig1a", "fig1b", "scaling", "verify", "qfi", "evolve")
 IN_PROCESS_COMMANDS = ("qsl", "fig1a", "scaling")
+# (command, config) of the tables the file writer is timed on: a 64-row
+# gamma sweep of the dephasing preset, as one sweep_cli qsl item writes, and
+# the default evolve trajectory.
+WRITER_TABLES = (
+    (
+        "qsl",
+        "[model]\npreset = dephasing\n[sweep]\nname = gamma\nvalues = "
+        + ", ".join(repr(10.0 ** (k / 16 - 2)) for k in range(64))
+        + "\n",
+    ),
+    ("evolve", ""),
+)
+NOTES = (
+    "cli_s runs each command once into a fresh temporary directory, so it "
+    "creates every file and cannot show what rewriting an existing file "
+    "costs; cli_main_ms repeats each call over the same path, and writer_ms "
+    "times the writer alone, to a fresh path and over an existing file."
+)
 SUITES = (
     "bound_dominance",
     "differential_dominance",
@@ -86,6 +108,36 @@ def _time_ms(out: dict, group: str, key: str, fn) -> None:
     out[group + "_min"][key] = 1e3 * min(times)
 
 
+def _writer(cli):
+    """The CLI's file writer: ``cli._write_text``, or, in a checkout that
+    predates it, the ``open(path, "w")`` each output site made."""
+    write = getattr(cli, "_write_text", None)
+    if write is None:
+
+        def write(path, text):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+
+    return write
+
+
+def _time_writer(out: dict, cli, tmp: str) -> None:
+    write = _writer(cli)
+    for command, text in WRITER_TABLES:
+        config = os.path.join(tmp, f"{command}.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        table = os.path.join(tmp, f"{command}.csv")
+        if cli.main([command, "--config", config, "--output", table]) != 0:
+            raise RuntimeError(f"{command} table for the writer cells failed")
+        with open(table, encoding="utf-8", newline="") as fh:
+            data = fh.read()
+        rows = data.count("\n") - 1
+        fresh = (os.path.join(tmp, f"{command}-{k}.csv") for k in itertools.count())
+        _time_ms(out, "writer_ms", f"{command} {rows} rows fresh", lambda: write(next(fresh), data))
+        _time_ms(out, "writer_ms", f"{command} {rows} rows overwrite", lambda: write(table, data))
+
+
 def worker(checkout: str) -> dict:
     """Timings of one checkout, in this process."""
     src = os.path.join(os.path.abspath(checkout), "src")
@@ -93,7 +145,15 @@ def worker(checkout: str) -> dict:
     import numpy as np
     from openqsl import cli, dynamics, linalg, models, verify
 
-    groups = ("layers", "layers_min", "verify_s", "cli_main_ms", "cli_main_ms_min")
+    groups = (
+        "layers",
+        "layers_min",
+        "verify_s",
+        "cli_main_ms",
+        "cli_main_ms_min",
+        "writer_ms",
+        "writer_ms_min",
+    )
     out = {group: {} for group in groups}
     for d, ns in GRID:
         for n in ns:
@@ -123,6 +183,7 @@ def worker(checkout: str) -> dict:
         for command in IN_PROCESS_COMMANDS:
             argv = [command, "--output", os.path.join(tmp, command)]
             _time_ms(out, "cli_main_ms", command, lambda: cli.main(argv))
+        _time_writer(out, cli, tmp)
     return out
 
 
@@ -229,7 +290,10 @@ def main(argv=None) -> int:
             "cli_main_ms": "ms, median of repeated in-process cli.main calls",
             "cli_main_ms_min": "ms, minimum of the same calls",
             "cli_s": "s, wall time of one fresh process",
+            "writer_ms": "ms, median of repeated writes of one table",
+            "writer_ms_min": "ms, minimum of the same writes",
         },
+        "notes": NOTES,
         "timings": _summary(runs),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
