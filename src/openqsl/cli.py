@@ -6,8 +6,13 @@ writes them to ``--output``, [output] path or a default name, plus a
 ``<path>.meta.json`` sidecar echoing the configuration, seed, step size,
 the decay constant of the damping model (checked against the integrator by
 ``tests/test_models.py``), and the library version; ``verify`` writes its
-own report, JSON only, and the same sidecar. Numeric fields are serialized
-with 17 significant digits, so identical inputs give byte-identical files.
+own report, JSON only, and the same sidecar. The sidecar is written only
+when the output is a regular file: ``/dev/stdout``, a FIFO or
+``os.devnull`` gets none, where it would land as ``/dev/null.meta.json``.
+Numeric fields are serialized with 17 significant digits, so identical
+inputs give byte-identical files. ``--seed`` takes a nonnegative integer,
+as numpy's generators do; a negative one is a usage error, so ``verify``
+stops before any suite runs.
 
 Every file goes through ``_write_text``, the one place in the package that
 opens a file for writing. It rewrites an existing file in place and cuts it
@@ -64,7 +69,8 @@ from .models import (
     EMISSION_DECAY_PER_GAMMA,
     ProductModelParams,
     exact_emission_time,
-    product_quantities_analytic,
+    product_chain_quantities,
+    product_site_terms,
     scaling_exponent,
 )
 
@@ -139,23 +145,25 @@ def _emit(args, cfg: ExperimentConfig, stem: str, header: list, rows: list, dt) 
     else:
         records = [dict(zip(header, row)) for row in rows]
         text = _to_json(records) + "\n"
-    _write_text(path, text)
-    _write_sidecar(path, cfg, args.seed, dt)
+    _write_output(path, text, cfg, args.seed, dt)
     return 0
 
 
-def _write_sidecar(path: str, cfg: ExperimentConfig, seed: int, dt: float | None) -> None:
-    meta = {
-        "config": cfg.echo(),
-        "seed": seed,
-        "dt": dt,
-        "emission_decay_per_gamma": EMISSION_DECAY_PER_GAMMA,
-        "version": __version__,
-    }
-    _write_text(path + ".meta.json", _to_json(meta) + "\n")
+def _write_output(path: str, text: str, cfg: ExperimentConfig, seed: int, dt) -> None:
+    """Write a command's ``text`` to ``path`` and, if that is a regular
+    file, its sidecar ``<path>.meta.json`` with step size ``dt``."""
+    if _write_text(path, text):
+        meta = {
+            "config": cfg.echo(),
+            "seed": seed,
+            "dt": dt,
+            "emission_decay_per_gamma": EMISSION_DECAY_PER_GAMMA,
+            "version": __version__,
+        }
+        _write_text(path + ".meta.json", _to_json(meta) + "\n")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str) -> bool:
     """Write ``text`` as UTF-8 to ``path``, rewriting an existing file in place.
 
     The file is opened without ``O_TRUNC``, written in full from offset 0,
@@ -171,7 +179,8 @@ def _write_text(path: str, text: str) -> None:
     and the mode. The trade-off: a kill between the write and the
     truncation leaves the old tail past the new end.
 
-    Raises ConfigError if the path cannot be opened or written.
+    Returns whether ``path`` is a regular file; raises ConfigError if it
+    cannot be opened or written.
     """
     data = memoryview(text.encode("utf-8"))
     try:
@@ -180,12 +189,14 @@ def _write_text(path: str, text: str) -> None:
             written = 0
             while written < len(data):
                 written += os.write(fd, data[written:])
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            if regular:
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}")
+    return regular
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +289,15 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
         [int(v) for v in cfg.sweep()] if cfg.sweep_name == "n" else [64, 128, 256, 512, 1024]
     )
 
+    # The single-site terms depend on omega, gamma and theta alone, so they
+    # are computed once, and scaled to each n.
     try:
         chains = [ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta) for n in n_values]
-        samples = [(p.n, qsl.t_qsl(product_quantities_analytic(p), theta_target)) for p in chains]
-    except ValueError as exc:  # a parameter out of range, or a frozen chain
+        site = product_site_terms(chains[0])
+        samples = [
+            (p.n, qsl.t_qsl(product_chain_quantities(site, p.n), theta_target)) for p in chains
+        ]
+    except ValueError as exc:  # a parameter out of range, an overflow, or a frozen chain
         raise ConfigError(f"[parameters]: {exc}")
     try:
         exponent = scaling_exponent(samples)
@@ -323,8 +339,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         ],
     }
     path = args.output or cfg.output_path or "verify.json"
-    _write_text(path, _to_json(report) + "\n")
-    _write_sidecar(path, cfg, args.seed, dt)
+    _write_output(path, _to_json(report) + "\n", cfg, args.seed, dt)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         skipped = "".join(f", {n} skipped ({reason})" for reason, n in r.skipped.items())
@@ -432,6 +447,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.seed < 0:  # numpy's generators take nonnegative seeds only
+            raise ConfigError(f"argument --seed: must be nonnegative, got {args.seed}")
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.format is None:
             args.format = cfg.output_format or ("json" if args.command == "verify" else "csv")

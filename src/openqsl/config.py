@@ -17,6 +17,14 @@ them, which an inline model would not read.
 A [parameters] or sweep value is checked against its key's domain when a
 command reads it.
 
+One ``configparser.ConfigParser`` serves every ``load_config`` call of the
+process, built on first use: constructing one costs as much as reading a
+small config, nearly all of it in its ``ConverterMapping`` scanning the
+parser's attributes with ``dir()``. ``_read_ini`` empties the parser of
+the previous file's sections and [DEFAULT] keys, reads the file and
+copies out every section, all under one lock, so two threads never see
+each other's files; the validation runs on that copy.
+
 Every preset model comes from ``preset_model``, whose model constructors
 check their parameters by the rules of ``models.PARAMETER_RULES``; it
 reports a broken one as a [parameters] ConfigError. ``build_model`` feeds
@@ -31,8 +39,10 @@ row's rates.
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,25 +220,46 @@ def _parse_json_field(text: str, where: str):
         raise ConfigError(f"{where}: invalid JSON ({exc})")
 
 
+@functools.cache
+def _ini_parser() -> configparser.ConfigParser:
+    """The one INI parser of the process, built on first use."""
+    return configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+
+
+_INI_LOCK = threading.Lock()
+
+
+def _read_ini(path: str) -> dict:
+    """The (key, value) pairs of every section of the INI file at ``path``,
+    each with the [DEFAULT] keys merged in as ``ConfigParser.items`` does,
+    read by the shared parser after emptying it of the previous file."""
+    with _INI_LOCK:
+        parser = _ini_parser()
+        for section in parser.sections():
+            parser.remove_section(section)
+        parser.defaults().clear()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path!r}: {exc}")
+        except configparser.Error as exc:
+            raise ConfigError(f"config syntax error in {path!r}: {exc}")
+        return {section: parser.items(section) for section in parser.sections()}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a config file; raises ConfigError with the failing
     section and key on any problem."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}")
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error in {path!r}: {exc}")
+    sections = _read_ini(path)
 
     cfg = ExperimentConfig()
-    for section in parser.sections():
+    for section in sections:
         if section not in ("model", "parameters", "integrator", "sweep", "output"):
             raise ConfigError(f"[{section}]: unknown section")
 
-    if parser.has_section("model"):
-        for key, value in parser.items("model"):
+    if "model" in sections:
+        for key, value in sections["model"]:
             if key not in _MODEL_KEYS:
                 raise ConfigError(f"[model] {key}: unknown key")
             if key == "preset":
@@ -254,14 +285,14 @@ def load_config(path: str) -> ExperimentConfig:
                     _parse_json_field(value, "[model] psi0"), "[model] psi0", expect_vector=True
                 )
 
-    if parser.has_section("parameters"):
-        for key, value in parser.items("parameters"):
+    if "parameters" in sections:
+        for key, value in sections["parameters"]:
             if key not in _PARAMETER_KEYS:
                 raise ConfigError(f"[parameters] {key}: unknown key")
             cfg.parameters[key] = _parse_number(value, f"[parameters] {key}")
 
-    if parser.has_section("integrator"):
-        for key, value in parser.items("integrator"):
+    if "integrator" in sections:
+        for key, value in sections["integrator"]:
             if key not in _INTEGRATOR_KEYS:
                 raise ConfigError(f"[integrator] {key}: unknown key")
             num = _parse_number(value, f"[integrator] {key}")
@@ -269,8 +300,8 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"[integrator] {key}: must be positive")
             setattr(cfg, key, num)
 
-    if parser.has_section("sweep"):
-        for key, value in parser.items("sweep"):
+    if "sweep" in sections:
+        for key, value in sections["sweep"]:
             if key not in _SWEEP_KEYS:
                 raise ConfigError(f"[sweep] {key}: unknown key")
             if key == "name":
@@ -284,8 +315,8 @@ def load_config(path: str) -> ExperimentConfig:
         if cfg.sweep_values and not cfg.sweep_name:
             raise ConfigError("[sweep] name: required when sweep values are given")
 
-    if parser.has_section("output"):
-        for key, value in parser.items("output"):
+    if "output" in sections:
+        for key, value in sections["output"]:
             if key not in _OUTPUT_KEYS:
                 raise ConfigError(f"[output] {key}: unknown key")
             if key == "format":

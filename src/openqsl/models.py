@@ -141,6 +141,47 @@ def product_model_dense(p: ProductModelParams) -> tuple[LindbladModel, np.ndarra
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), psi0
 
 
+def product_site_terms(p: ProductModelParams) -> tuple:
+    """The single-site terms of ``p``'s chain, which do not depend on n:
+    (var(H_1), var(L_1), Tr(D^2), Tr(rho1 D)), the last three None without
+    dephasing (gamma = 0)."""
+    psi1 = bloch_state(p.theta)
+    h1 = 0.5 * p.omega * SIGMA_Z
+    dev = h1 @ psi1
+    dev -= np.real(np.vdot(psi1, dev)) * psi1
+    var_h1 = float(np.real(np.vdot(dev, dev)))
+    if p.gamma == 0.0:
+        return var_h1, None, None, None
+
+    l1 = math.sqrt(p.gamma) * SIGMA_X
+    dev = l1 @ psi1
+    dev -= np.vdot(psi1, dev) * psi1
+    var_l1 = float(np.real(np.vdot(dev, dev)))
+
+    rho1 = linalg.projector(psi1)
+    deformation = adjoint_dissipator(l1, rho1)
+    self_overlap = float(np.real(linalg.trace_product(deformation, deformation)))
+    cross_overlap = float(np.real(linalg.trace_product(rho1, deformation)))
+    return var_h1, var_l1, self_overlap, cross_overlap
+
+
+def product_chain_quantities(site: tuple, n: int) -> QslQuantities:
+    """Speed-limit scalars of the n-site chain from ``product_site_terms``;
+    raises ValueError naming n if a chain term overflows a float."""
+    var_h1, var_l1, self_overlap, cross_overlap = site
+    e_term = g_sq = 0.0
+    try:
+        var_h = n * var_h1
+        if var_l1 is not None:
+            e_term = n * var_l1
+            g_sq = n * self_overlap + n * (n - 1) * cross_overlap**2
+    except OverflowError:  # n or n(n-1) past the float range, or a square
+        var_h = math.inf
+    if not all(map(math.isfinite, (var_h, e_term, g_sq))):
+        raise ValueError(f"the speed-limit terms of the chain of n = {n} sites overflow a float")
+    return QslQuantities.from_terms(math.sqrt(var_h), math.sqrt(max(g_sq, 0.0)), e_term)
+
+
 def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
     """Speed-limit scalars of the product chain in O(1) time for any n.
 
@@ -152,33 +193,13 @@ def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
 
     while energy variance and jump-operator variance are additive over
     sites. Agreement with the dense construction is unit-tested for n <= 6.
+
+    The single-site terms come from ``product_site_terms`` and do not
+    depend on n; ``product_chain_quantities`` scales them to n sites. A
+    sweep over n, as the ``scaling`` command runs, computes them once and
+    scales them per n with the same arithmetic as this function.
     """
-    psi1 = bloch_state(p.theta)
-    rho1 = linalg.projector(psi1)
-    n = p.n
-
-    h1 = 0.5 * p.omega * SIGMA_Z
-    dev = h1 @ psi1
-    dev -= np.real(np.vdot(psi1, dev)) * psi1
-    var_h1 = float(np.real(np.vdot(dev, dev)))
-    delta_h0 = math.sqrt(n * var_h1)
-
-    if p.gamma == 0.0:
-        return QslQuantities.from_terms(delta_h0, 0.0, 0.0)
-
-    l1 = math.sqrt(p.gamma) * SIGMA_X
-    dev = l1 @ psi1
-    dev -= np.vdot(psi1, dev) * psi1
-    var_l1 = float(np.real(np.vdot(dev, dev)))
-
-    deformation = adjoint_dissipator(l1, rho1)
-    self_overlap = float(np.real(linalg.trace_product(deformation, deformation)))
-    cross_overlap = float(np.real(linalg.trace_product(rho1, deformation)))
-
-    e_term = n * var_l1
-    g_sq = n * self_overlap + n * (n - 1) * cross_overlap**2
-    g_term = math.sqrt(max(g_sq, 0.0))
-    return QslQuantities.from_terms(delta_h0, g_term, e_term)
+    return product_chain_quantities(product_site_terms(p), p.n)
 
 
 def scaling_exponent(samples) -> float:

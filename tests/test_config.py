@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openqsl import cli, qsl
+from openqsl import cli, config, qsl
 from openqsl.config import ExperimentConfig, build_model, load_config, sweep_columns
 from openqsl.errors import ConfigError
 
@@ -97,6 +97,32 @@ class TestErrorsNameTheirKey:
         assert cfg.output_path == "run_100%.csv"
 
 
+class TestSharedParser:
+    """One INI parser reads every file of the process; no file's sections
+    or [DEFAULT] keys reach the next."""
+
+    def test_sweep_does_not_reach_the_next_file(self, tmp_path):
+        swept = load(tmp_path, "[sweep]\nname = gamma\nvalues = 1, 2\n")
+        assert (swept.sweep_name, swept.sweep_values) == ("gamma", [1.0, 2.0])
+        cfg = load(tmp_path, "[parameters]\ngamma = 3\n")
+        assert (cfg.sweep_name, cfg.sweep_values, cfg.parameters) == (None, None, {"gamma": 3.0})
+
+    def test_syntax_error_leaves_nothing_behind(self, tmp_path):
+        good = "[model]\npreset = dephasing\n[parameters]\nomega = 2\n"
+        alone = load(tmp_path, good).echo()
+        with pytest.raises(ConfigError, match="^config syntax error in "):
+            load(tmp_path, "[parameters]\ngamma = 3\n[sweep]\nname = gamma\n[parameters]\n")
+        assert load(tmp_path, good).echo() == alone
+
+    def test_default_keys_reach_every_section_of_their_file_only(self, tmp_path):
+        cfg = load(tmp_path, "[DEFAULT]\ngamma = 2\n[parameters]\nomega = 3\n")
+        assert cfg.parameters == {"gamma": 2.0, "omega": 3.0}
+        with pytest.raises(ConfigError, match=r"^\[model\] gamma: unknown key$"):
+            load(tmp_path, "[DEFAULT]\ngamma = 2\n[model]\npreset = dephasing\n")
+        cfg = load(tmp_path, "[model]\npreset = dephasing\n[parameters]\nomega = 3\n")
+        assert (cfg.preset, cfg.parameters) == ("dephasing", {"omega": 3.0})
+
+
 class TestSweepColumns:
     @pytest.mark.parametrize(
         "preset, fixed, columns",
@@ -179,10 +205,26 @@ SECTION = st.tuples(st.sampled_from(SECTIONS), st.lists(ENTRY, max_size=5)).map(
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(sections=st.lists(SECTION, max_size=4))
 def test_arbitrary_text_loads_or_raises_config_error(tmp_path_factory, sections):
+    # The shared parser last read the previous example; a fresh one reads
+    # the file on its own, and both must load it the same way.
     path = tmp_path_factory.mktemp("fuzz") / "experiment.ini"
     path.write_text("\n".join(sections), encoding="utf-8")
+    after_previous = _outcome(str(path))
+    config._ini_parser.cache_clear()
+    assert _outcome(str(path)) == after_previous
+
+
+def _outcome(path: str):
+    """load_config's ConfigError message, or what the config holds."""
     try:
-        cfg = load_config(str(path))
-    except ConfigError:
-        return
+        cfg = load_config(path)
+    except ConfigError as exc:
+        return str(exc)
     assert isinstance(cfg, ExperimentConfig)
+    arrays = [cfg.hamiltonian, cfg.psi0, *(cfg.lindblad_ops or ())]
+    return (
+        cfg.echo(),
+        cfg.output_path,
+        cfg.output_format,
+        [None if a is None else a.tolist() for a in arrays],
+    )

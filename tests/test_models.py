@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from openqsl import cli, models
 from openqsl.dynamics import evolve
 from openqsl.models import (
     EMISSION_DECAY_PER_GAMMA,
     ProductModelParams,
+    product_chain_quantities,
     product_model_dense,
     product_quantities_analytic,
+    product_site_terms,
     spontaneous_emission_model,
 )
 from openqsl.qsl import compute_quantities
@@ -50,6 +53,45 @@ class TestProductChain:
             assert q.delta_h0 == pytest.approx(want, rel=1e-12, abs=0.0)
             assert (q.g_term, q.e_term, q.ratio_r) == (0.0, 0.0, None)
             assert q.v_coeff == 2.0 * q.delta_h0
+
+
+class TestProductSplit:
+    # scaling's default n sweep and parameters
+    N_VALUES = (64, 128, 256, 512, 1024)
+
+    @pytest.mark.parametrize("gamma", [10.0, 0.0])
+    def test_site_terms_once_give_the_analytic_bits(self, gamma):
+        site = product_site_terms(ProductModelParams(n=1, omega=0.1, gamma=gamma, theta=math.pi / 4))
+        for n in (1, *self.N_VALUES):
+            p = ProductModelParams(n=n, omega=0.1, gamma=gamma, theta=math.pi / 4)
+            # repr tells every float bit apart, -0.0 from 0.0 included
+            assert repr(product_chain_quantities(site, n)) == repr(product_quantities_analytic(p))
+
+    def test_scaling_computes_the_site_terms_once(self, tmp_path, monkeypatch):
+        calls, original = [], models.adjoint_dissipator
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(models, "adjoint_dissipator", counted)
+        config = tmp_path / "scaling.ini"
+        config.write_text("[sweep]\nname = n\nvalues = 16, 32, 64, 128, 256\n", encoding="utf-8")
+        argv = ["scaling", "--config", str(config), "--output", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [int(1e200), 10**400])
+    def test_overflowing_chain_names_n(self, n):
+        p = ProductModelParams(n=n, omega=0.1, gamma=10.0, theta=math.pi / 4)
+        with pytest.raises(ValueError, match=f"^the speed-limit terms of the chain of n = {n} sites"):
+            product_quantities_analytic(p)
+
+    def test_undamped_chain_of_any_float_n_is_finite(self):
+        # without dephasing only n var(H_1) is formed, which fits a float
+        p = ProductModelParams(n=1e200, omega=0.1, gamma=0.0, theta=math.pi / 4)
+        q = product_quantities_analytic(p)
+        assert (q.g_term, q.e_term) == (0.0, 0.0) and math.isfinite(q.delta_h0)
 
 
 class TestProductParams:

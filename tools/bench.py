@@ -21,7 +21,13 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
   the interpreter start and the imports;
 - the CLI's file writer on a 64-row ``qsl`` table and on the default
   5001-row ``evolve`` table, each to a fresh path per call and over the
-  same path each call (``WRITER_TABLES``).
+  same path each call (``WRITER_TABLES``);
+- the fixed work of a CLI call: ``config.load_config`` on the config of
+  the first ``qsl``, ``fig1a`` and ``scaling`` item of the ``sweep_cli``
+  workload (seed 0), the ``configparser.ConfigParser`` construction that
+  ``load_config`` made on every call until it shared one parser, and one
+  ``scaling`` evaluation of the chain's speed-limit scalars over
+  ``SCALING_NS``, as ``cmd_scaling`` runs it.
 
 Without ``--parent`` only the current checkout runs. The output file holds
 every round's numbers, the median and the minimum of the rounds per side,
@@ -33,6 +39,7 @@ difference), and the machine record of ``perfbench/environment.py``.
 from __future__ import annotations
 
 import argparse
+import configparser
 import hashlib
 import itertools
 import json
@@ -49,6 +56,7 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import environment  # noqa: E402
+import workloads  # noqa: E402
 
 # (dimension, step counts) of the layer grid.
 GRID = (
@@ -77,6 +85,8 @@ WRITER_TABLES = (
     ),
     ("evolve", ""),
 )
+# The default n sweep of the scaling command, at its default parameters.
+SCALING_NS = (64, 128, 256, 512, 1024)
 NOTES = (
     "cli_s runs each command once into a fresh temporary directory, so it "
     "creates every file and cannot show what rewriting an existing file "
@@ -138,12 +148,46 @@ def _time_writer(out: dict, cli, tmp: str) -> None:
         _time_ms(out, "writer_ms", f"{command} {rows} rows overwrite", lambda: write(table, data))
 
 
+def _scaling_chain(models):
+    """One ``cmd_scaling`` evaluation of the chain's scalars over SCALING_NS:
+    the single-site terms once, scaled to each n, or, in a checkout that
+    predates that split, ``product_quantities_analytic`` per n."""
+    site_terms = getattr(models, "product_site_terms", None)
+
+    def chain():
+        params = [
+            models.ProductModelParams(n=n, omega=0.1, gamma=10.0, theta=math.pi / 4)
+            for n in SCALING_NS
+        ]
+        if site_terms is None:
+            return [models.product_quantities_analytic(p) for p in params]
+        site = site_terms(params[0])
+        return [models.product_chain_quantities(site, p.n) for p in params]
+
+    return chain
+
+
+def _time_fixed(out: dict, config, models, tmp: str) -> None:
+    sweep_cli = workloads.SweepCli()
+    for index in range(len(sweep_cli.commands)):
+        argv = sweep_cli.inputs(0, index, tmp).argv
+        path = argv[argv.index("--config") + 1]
+        _time_ms(out, "fixed_ms", f"load_config {argv[0]}", lambda: config.load_config(path))
+    _time_ms(
+        out,
+        "fixed_ms",
+        "ConfigParser()",
+        lambda: configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None),
+    )
+    _time_ms(out, "fixed_ms", f"scaling chain n x{len(SCALING_NS)}", _scaling_chain(models))
+
+
 def worker(checkout: str) -> dict:
     """Timings of one checkout, in this process."""
     src = os.path.join(os.path.abspath(checkout), "src")
     sys.path.insert(0, src)
     import numpy as np
-    from openqsl import cli, dynamics, linalg, models, verify
+    from openqsl import cli, config, dynamics, linalg, models, verify
 
     groups = (
         "layers",
@@ -153,6 +197,8 @@ def worker(checkout: str) -> dict:
         "cli_main_ms_min",
         "writer_ms",
         "writer_ms_min",
+        "fixed_ms",
+        "fixed_ms_min",
     )
     out = {group: {} for group in groups}
     for d, ns in GRID:
@@ -184,6 +230,7 @@ def worker(checkout: str) -> dict:
             argv = [command, "--output", os.path.join(tmp, command)]
             _time_ms(out, "cli_main_ms", command, lambda: cli.main(argv))
         _time_writer(out, cli, tmp)
+        _time_fixed(out, config, models, tmp)
     return out
 
 
@@ -292,6 +339,8 @@ def main(argv=None) -> int:
             "cli_s": "s, wall time of one fresh process",
             "writer_ms": "ms, median of repeated writes of one table",
             "writer_ms_min": "ms, minimum of the same writes",
+            "fixed_ms": "ms, median of repeated calls of a CLI call's fixed work",
+            "fixed_ms_min": "ms, minimum of the same calls",
         },
         "notes": NOTES,
         "timings": _summary(runs),
