@@ -7,8 +7,10 @@ writes them to ``--output``, [output] path or a default name, plus a
 the decay constant of the damping model (checked against the integrator by
 ``tests/test_models.py``), and the library version; ``verify`` writes its
 own report, JSON only, and the same sidecar. The sidecar is written only
-when the output is a regular file: ``/dev/stdout``, a FIFO or
-``os.devnull`` gets none, where it would land as ``/dev/null.meta.json``.
+when the output is a regular file other than stdout's: ``/dev/stdout``, a
+FIFO or ``os.devnull`` gets none, where it would land as
+``/dev/null.meta.json``, and neither does ``/dev/stdout`` with stdout
+redirected to a file.
 Numeric fields are serialized with 17 significant digits, so identical
 inputs give byte-identical files. ``--seed`` takes a nonnegative integer,
 as numpy's generators do; a negative one is a usage error, so ``verify``
@@ -171,7 +173,8 @@ def _write_text(path: str, text: str) -> bool:
     length. So a path that exists keeps its inode, mode and hard links, and
     a symlink stays a symlink whose target gets the bytes, as with
     ``open(path, "w")``. A new file is created with mode 0o666 less the
-    umask. ``/dev/stdout``, a FIFO or ``os.devnull`` is written as a stream.
+    umask. ``/dev/stdout``, a FIFO or ``os.devnull`` is written as a stream,
+    and so is the file that stdout is redirected to.
 
     Truncating first makes ext4 flush the file on close, about 100 µs for
     3 KB. Writing a temp file and ``os.replace``-ing it costs the same
@@ -179,8 +182,8 @@ def _write_text(path: str, text: str) -> bool:
     and the mode. The trade-off: a kill between the write and the
     truncation leaves the old tail past the new end.
 
-    Returns whether ``path`` is a regular file; raises ConfigError if it
-    cannot be opened or written.
+    Returns whether ``path`` is a regular file other than stdout's; raises
+    ConfigError if it cannot be opened or written.
     """
     data = memoryview(text.encode("utf-8"))
     try:
@@ -189,7 +192,8 @@ def _write_text(path: str, text: str) -> bool:
             written = 0
             while written < len(data):
                 written += os.write(fd, data[written:])
-            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            st = os.fstat(fd)
+            regular = stat.S_ISREG(st.st_mode) and not _is_stdout(fd, st)
             if regular:
                 os.ftruncate(fd, len(data))
         finally:
@@ -197,6 +201,15 @@ def _write_text(path: str, text: str) -> bool:
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}")
     return regular
+
+
+def _is_stdout(fd: int, st: os.stat_result) -> bool:
+    """Whether ``st``, the status of ``fd``, is that of the file open as
+    stdout; with stdout closed, ``fd`` may be 1 itself, and is not."""
+    try:
+        return fd != 1 and os.path.samestat(st, os.fstat(1))
+    except OSError:  # stdout closed
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +302,13 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
         [int(v) for v in cfg.sweep()] if cfg.sweep_name == "n" else [64, 128, 256, 512, 1024]
     )
 
-    # The single-site terms depend on omega, gamma and theta alone, so they
-    # are computed once, and scaled to each n.
+    # The unit-rate single-site terms depend on theta alone, so they are
+    # computed once, and scaled to each n and to the rates.
     try:
         chains = [ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta) for n in n_values]
-        site = product_site_terms(chains[0])
+        site = product_site_terms(theta)
         samples = [
-            (p.n, qsl.t_qsl(product_chain_quantities(site, p.n), theta_target)) for p in chains
+            (p.n, qsl.t_qsl(product_chain_quantities(site, p), theta_target)) for p in chains
         ]
     except ValueError as exc:  # a parameter out of range, an overflow, or a frozen chain
         raise ConfigError(f"[parameters]: {exc}")
@@ -399,7 +412,7 @@ def _check_sweep(command: str, cfg: ExperimentConfig) -> None:
     if not cfg.sweep_name:
         return
     reads = COMMAND_SWEEPS.get(command, ())
-    if command == "qsl" and cfg.hamiltonian is None:
+    if command == "qsl" and cfg.inline is None:
         reads += tuple(PRESET_DEFAULTS[cfg.preset or "emission"])
     if cfg.sweep_name not in reads:
         raise ConfigError(

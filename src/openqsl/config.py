@@ -10,12 +10,13 @@ A config file has up to five sections::
     [sweep]        name, values (JSON array or comma-separated)
     [output]       path, format = csv | json
 
-Inline matrices are validated at load time: a non-Hermitian Hamiltonian or
-a denormalized state vector is rejected here, naming the offending field,
-and so is a model parameter (omega, gamma, theta, n) set or swept beside
-them, which an inline model would not read.
-A [parameters] or sweep value is checked against its key's domain when a
-command reads it.
+``load_config`` reads the sections in the order of ``_SECTIONS``, which
+holds the parser of every key, and reports the first problem. It checks
+and builds an inline model once, as the config's ``inline`` pair: a
+non-Hermitian Hamiltonian, a denormalized state vector, or a model
+parameter (omega, gamma, theta, n) set or swept beside them, which an
+inline model would not read, is rejected naming its key. A [parameters]
+or sweep value is checked against its key's domain when a command reads it.
 
 One ``configparser.ConfigParser`` serves every ``load_config`` call of the
 process, built on first use: constructing one costs as much as reading a
@@ -28,7 +29,7 @@ each other's files; the validation runs on that copy.
 Every preset model comes from ``preset_model``, whose model constructors
 check their parameters by the rules of ``models.PARAMETER_RULES``; it
 reports a broken one as a [parameters] ConfigError. ``build_model`` feeds
-it the config's own parameters, or builds an inline model.
+it the config's own parameters, or returns the config's inline model.
 ``sweep_columns`` evaluates a sweep as columns: it finds the first row
 that breaks its preset's rules, builds one unit-rate model (omega = gamma
 = 1) per distinct parameter set of the rows before it, and returns the
@@ -70,7 +71,6 @@ PRESET_DEFAULTS = {
 PRESETS = sorted(PRESET_DEFAULTS)
 # The model parameters of the presets, which an inline model does not read.
 _MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
-_MODEL_KEYS = {"preset", "hamiltonian", "lindblad_ops", "psi0"}
 # What the commands require of the [parameters] keys they read directly, and
 # of sweep values over those keys; the model parameters (omega, gamma, theta
 # and n >= 1) are checked by their preset when a model is built.
@@ -89,19 +89,16 @@ _DOMAINS = {
 # Every [parameters] key that a command reads; a sweep may vary any of
 # them, or the time grid "t".
 _PARAMETER_KEYS = set(_DOMAINS) | _MODEL_PARAMETERS
-_INTEGRATOR_KEYS = {"dt", "horizon"}
-_SWEEP_KEYS = {"name", "values"}
-_OUTPUT_KEYS = {"path", "format"}
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description; ``inline`` is the
+    (LindbladModel, psi0 / |psi0|) of inline [model] matrices, or None for
+    a preset."""
 
     preset: str | None = None
-    hamiltonian: np.ndarray | None = None
-    lindblad_ops: list | None = None
-    psi0: np.ndarray | None = None
+    inline: tuple | None = None
     parameters: dict = field(default_factory=dict)
     dt: float | None = None
     horizon: float | None = None
@@ -139,7 +136,7 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """JSON-serializable snapshot for the output metadata sidecar."""
-        out = {
+        return {
             "preset": self.preset,
             "parameters": {k: float(v) for k, v in sorted(self.parameters.items())},
             "dt": self.dt,
@@ -147,9 +144,8 @@ class ExperimentConfig:
             "sweep": {"name": self.sweep_name, "values": self.sweep_values}
             if self.sweep_name
             else None,
-            "inline_model": self.hamiltonian is not None,
+            "inline_model": self.inline is not None,
         }
-        return out
 
 
 def _domain_problem(key: str, value: float) -> str | None:
@@ -173,9 +169,8 @@ def _parse_complex_array(raw, where: str, expect_vector: bool = False) -> np.nda
     if expect_vector:
         if out.ndim != 1:
             raise ConfigError(f"{where}: expected a vector of [re, im] pairs")
-    else:
-        if out.ndim != 2 or out.shape[0] != out.shape[1]:
-            raise ConfigError(f"{where}: expected a square matrix of [re, im] pairs")
+    elif out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise ConfigError(f"{where}: expected a square matrix of [re, im] pairs")
     return out
 
 
@@ -220,6 +215,57 @@ def _parse_json_field(text: str, where: str):
         raise ConfigError(f"{where}: invalid JSON ({exc})")
 
 
+def _parse_array(text: str, where: str, expect_vector: bool = False) -> np.ndarray:
+    return _parse_complex_array(_parse_json_field(text, where), where, expect_vector)
+
+
+def _parse_matrices(text: str, where: str) -> list:
+    raw = _parse_json_field(text, where)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where}: expected a list of matrices")
+    return [_parse_complex_array(item, f"{where}[{i}]") for i, item in enumerate(raw)]
+
+
+def _parse_positive(text: str, where: str) -> float:
+    num = _parse_number(text, where)
+    if num <= 0.0:
+        raise ConfigError(f"{where}: must be positive")
+    return num
+
+
+def _one_of(allowed, described: str):
+    """A parser of one of ``allowed``, which its error calls ``described``."""
+
+    def parse(text: str, where: str) -> str:
+        if text not in allowed:
+            raise ConfigError(f"{where}: {text!r} is not {described}")
+        return text
+
+    return parse
+
+
+# Each section's keys with the parsers of their values, which name the
+# section and key in a ConfigError, in the order load_config reads them.
+_SECTIONS = {
+    "model": {
+        "preset": _one_of(PRESETS, "one of " + ", ".join(PRESETS)),
+        "hamiltonian": _parse_array,
+        "lindblad_ops": _parse_matrices,
+        "psi0": functools.partial(_parse_array, expect_vector=True),
+    },
+    "parameters": dict.fromkeys(_PARAMETER_KEYS, _parse_number),
+    "integrator": dict.fromkeys(("dt", "horizon"), _parse_positive),
+    "sweep": {
+        "name": _one_of(_PARAMETER_KEYS | {"t"}, "a parameter or t"),
+        "values": _parse_values,
+    },
+    "output": {
+        "path": lambda text, where: text,
+        "format": _one_of(("csv", "json"), "csv or json"),
+    },
+}
+
+
 @functools.cache
 def _ini_parser() -> configparser.ConfigParser:
     """The one INI parser of the process, built on first use."""
@@ -249,104 +295,77 @@ def _read_ini(path: str) -> dict:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a config file; raises ConfigError with the failing
-    section and key on any problem."""
+    """Read and validate a config file in the order of ``_SECTIONS``; raises
+    ConfigError with the section and key of the first problem."""
     sections = _read_ini(path)
-
-    cfg = ExperimentConfig()
     for section in sections:
-        if section not in ("model", "parameters", "integrator", "sweep", "output"):
+        if section not in _SECTIONS:
             raise ConfigError(f"[{section}]: unknown section")
 
-    if "model" in sections:
-        for key, value in sections["model"]:
-            if key not in _MODEL_KEYS:
-                raise ConfigError(f"[model] {key}: unknown key")
-            if key == "preset":
-                if value not in PRESETS:
-                    raise ConfigError(
-                        f"[model] preset: {value!r} is not one of {', '.join(PRESETS)}"
-                    )
-                cfg.preset = value
-            elif key == "hamiltonian":
-                cfg.hamiltonian = _parse_complex_array(
-                    _parse_json_field(value, "[model] hamiltonian"), "[model] hamiltonian"
-                )
-            elif key == "lindblad_ops":
-                raw = _parse_json_field(value, "[model] lindblad_ops")
-                if not isinstance(raw, list):
-                    raise ConfigError("[model] lindblad_ops: expected a list of matrices")
-                cfg.lindblad_ops = [
-                    _parse_complex_array(item, f"[model] lindblad_ops[{i}]")
-                    for i, item in enumerate(raw)
-                ]
-            elif key == "psi0":
-                cfg.psi0 = _parse_complex_array(
-                    _parse_json_field(value, "[model] psi0"), "[model] psi0", expect_vector=True
-                )
-
-    if "parameters" in sections:
-        for key, value in sections["parameters"]:
-            if key not in _PARAMETER_KEYS:
-                raise ConfigError(f"[parameters] {key}: unknown key")
-            cfg.parameters[key] = _parse_number(value, f"[parameters] {key}")
-
-    if "integrator" in sections:
-        for key, value in sections["integrator"]:
-            if key not in _INTEGRATOR_KEYS:
-                raise ConfigError(f"[integrator] {key}: unknown key")
-            num = _parse_number(value, f"[integrator] {key}")
-            if num <= 0.0:
-                raise ConfigError(f"[integrator] {key}: must be positive")
-            setattr(cfg, key, num)
-
-    if "sweep" in sections:
-        for key, value in sections["sweep"]:
-            if key not in _SWEEP_KEYS:
-                raise ConfigError(f"[sweep] {key}: unknown key")
-            if key == "name":
-                cfg.sweep_name = value.strip()
-                if cfg.sweep_name not in _PARAMETER_KEYS | {"t"}:
-                    raise ConfigError(f"[sweep] name: {cfg.sweep_name!r} is not a parameter or t")
-            else:
-                cfg.sweep_values = _parse_values(value, "[sweep] values")
-        if cfg.sweep_name and not cfg.sweep_values:
-            raise ConfigError("[sweep] values: required when a sweep name is given")
-        if cfg.sweep_values and not cfg.sweep_name:
+    read = {}
+    for section, parsers in _SECTIONS.items():
+        values = read[section] = {}
+        for key, text in sections.get(section, ()):
+            where = f"[{section}] {key}"
+            if key not in parsers:
+                raise ConfigError(f"{where}: unknown key")
+            values[key] = parsers[key](text, where)
+        if section == "sweep" and len(values) == 1:
+            if "name" in values:
+                raise ConfigError("[sweep] values: required when a sweep name is given")
             raise ConfigError("[sweep] name: required when sweep values are given")
 
-    if "output" in sections:
-        for key, value in sections["output"]:
-            if key not in _OUTPUT_KEYS:
-                raise ConfigError(f"[output] {key}: unknown key")
-            if key == "format":
-                if value not in ("csv", "json"):
-                    raise ConfigError(f"[output] format: {value!r} is not csv or json")
-                cfg.output_format = value
-            else:
-                cfg.output_path = value
-
-    if cfg.preset is not None and cfg.hamiltonian is not None:
+    model, parameters, sweep = read["model"], read["parameters"], read["sweep"]
+    preset = model.pop("preset", None)
+    if preset is not None and "hamiltonian" in model:
         raise ConfigError("[model]: give either a preset or inline matrices, not both")
-
-    # Inline models must satisfy the generator invariants at load time, and
-    # read none of the presets' model parameters.
-    if cfg.hamiltonian is not None or cfg.psi0 is not None or cfg.lindblad_ops is not None:
-        build_model(cfg)
-    if cfg.hamiltonian is not None:
-        for key in cfg.parameters:
+    # An inline model reads none of the presets' model parameters.
+    inline = None
+    if model:
+        inline = _inline_model(**model)
+        for key in parameters:
             if key in _MODEL_PARAMETERS:
                 raise ConfigError(f"[parameters] {key}: an inline model does not read it")
-        if cfg.sweep_name in _MODEL_PARAMETERS:
-            raise ConfigError(
-                f"[sweep] name: an inline model does not read {cfg.sweep_name!r}"
-            )
-    return cfg
+        if sweep.get("name") in _MODEL_PARAMETERS:
+            raise ConfigError(f"[sweep] name: an inline model does not read {sweep['name']!r}")
+    return ExperimentConfig(
+        preset=preset,
+        inline=inline,
+        parameters=parameters,
+        **read["integrator"],
+        sweep_name=sweep.get("name"),
+        sweep_values=sweep.get("values"),
+        output_path=read["output"].get("path"),
+        output_format=read["output"].get("format"),
+    )
+
+
+def _inline_model(hamiltonian=None, lindblad_ops=(), psi0=None) -> tuple:
+    """(LindbladModel, psi0 / |psi0|) of the parsed inline [model]
+    matrices; a missing one, a broken generator, or a psi0 of the wrong
+    length or norm raises ConfigError."""
+    if hamiltonian is None:
+        raise ConfigError("[model] hamiltonian: required when psi0/lindblad_ops is given")
+    if psi0 is None:
+        raise ConfigError("[model] psi0: required for an inline model")
+    try:
+        model = LindbladModel(hamiltonian=hamiltonian, lindblad_ops=tuple(lindblad_ops))
+    except ValueError as exc:
+        raise ConfigError(f"[model] hamiltonian/lindblad_ops: {exc}")
+    if psi0.shape != (model.dim,):
+        raise ConfigError(
+            f"[model] psi0: length {psi0.shape[0]} does not match the "
+            f"hamiltonian dimension {model.dim}"
+        )
+    nrm = float(np.linalg.norm(psi0))
+    if abs(nrm - 1.0) > 1e-6:
+        raise ConfigError(f"[model] psi0: norm {nrm!r} is not 1")
+    return model, psi0 / nrm
 
 
 def _preset(cfg: ExperimentConfig) -> str | None:
     """cfg's preset, or None for an inline model."""
-    if cfg.hamiltonian is not None:
+    if cfg.inline is not None:
         return None
     preset = cfg.preset or "emission"
     if preset not in PRESET_DEFAULTS:
@@ -369,30 +388,12 @@ def preset_model(preset: str, params: dict):
 
 
 def build_model(cfg: ExperimentConfig):
-    """Construct (LindbladModel, psi0) from inline matrices, or by
-    ``preset_model`` from the [parameters] that cfg's preset reads, each
-    checked against its key's domain first."""
-    if cfg.hamiltonian is None and (cfg.psi0 is not None or cfg.lindblad_ops is not None):
-        raise ConfigError("[model] hamiltonian: required when psi0/lindblad_ops is given")
-    if cfg.hamiltonian is not None:
-        if cfg.psi0 is None:
-            raise ConfigError("[model] psi0: required for an inline model")
-        ops = tuple(cfg.lindblad_ops or ())
-        try:
-            model = LindbladModel(hamiltonian=cfg.hamiltonian, lindblad_ops=ops)
-        except ValueError as exc:
-            raise ConfigError(f"[model] hamiltonian/lindblad_ops: {exc}")
-        psi0 = np.asarray(cfg.psi0, dtype=complex)
-        if psi0.shape != (model.dim,):
-            raise ConfigError(
-                f"[model] psi0: length {psi0.shape[0]} does not match the "
-                f"hamiltonian dimension {model.dim}"
-            )
-        nrm = float(np.linalg.norm(psi0))
-        if abs(nrm - 1.0) > 1e-6:
-            raise ConfigError(f"[model] psi0: norm {nrm!r} is not 1")
-        return model, psi0 / nrm
-
+    """cfg's (LindbladModel, psi0): its inline model, built and checked by
+    ``load_config``, or its preset's by ``preset_model`` from the
+    [parameters] that the preset reads, each checked against its key's
+    domain first."""
+    if cfg.inline is not None:
+        return cfg.inline
     preset = _preset(cfg)
     params = {key: cfg.param(key, default) for key, default in PRESET_DEFAULTS[preset].items()}
     return preset_model(preset, params)
@@ -407,7 +408,7 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
     since every jump operator is sqrt(gamma) times a unit one. So
     ``compute_quantities`` runs once per distinct unit-rate model (omega =
     gamma = 1 and a row's other parameters, built by ``preset_model``; an
-    inline model is ``build_model(cfg)``), and each row scales its terms
+    inline model is ``cfg.inline``), and each row scales its terms
     by its own rates with the arithmetic of ``QslQuantities.from_terms``:
     omega * delta_h0, gamma * g_term, gamma * e_term and
     v = 2 delta_h0 + sqrt(2) g_term. An inline model, and the emission
@@ -442,11 +443,7 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
     unit = {}
     for key in keys[:bad]:
         if key not in unit:
-            built = (
-                preset_model(preset, {**dict(zip(shape, key)), **unit_rates})
-                if preset
-                else build_model(cfg)
-            )
+            built = cfg.inline or preset_model(preset, {**dict(zip(shape, key)), **unit_rates})
             unit[key] = compute_quantities(*built)
     if problem is not None:
         raise ConfigError(f"[parameters]: {problem}")

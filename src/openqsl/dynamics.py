@@ -527,13 +527,14 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     the step is too coarse for the generator, when a state has a NaN or
     infinite entry, the trace drift exceeds 1e-6, or an eigenvalue falls
     below -1e-5. A run whose states would take more than
-    ``TRAJECTORY_BYTE_CAP`` bytes raises ``ResourceLimitError`` before
-    anything is integrated. Positivity is certified by a Cholesky
-    factorization of every state shifted by just under 1e-5; only when that
-    fails are the exact eigvalsh eigenvalues computed, and they decide. A
-    diverging run reports that error alone, without numpy's floating-point
-    warnings. No hermiticity pass runs: ``herm_drift``, like the per-state
-    ``min_eigs`` and ``bures_angles``, is computed when first read.
+    ``TRAJECTORY_BYTE_CAP`` bytes, or whose step count t_end/dt overflows a
+    float, raises ``ResourceLimitError`` before anything is integrated.
+    Positivity is certified by a Cholesky factorization of every state
+    shifted by just under 1e-5; only when that fails are the exact eigvalsh
+    eigenvalues computed, and they decide. A diverging run reports that
+    error alone, without numpy's floating-point warnings. No hermiticity
+    pass runs: ``herm_drift``, like the per-state ``min_eigs`` and
+    ``bures_angles``, is computed when first read.
     """
     psi0 = linalg.pure_state(psi0)
     if psi0.size != model.dim:
@@ -546,6 +547,11 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
         raise ValueError("dt must not exceed t_end")
 
     rho0 = linalg.projector(psi0)
+    if t_end / dt == math.inf:
+        raise ResourceLimitError(
+            f"trajectory of t_end / dt = inf steps at d = {model.dim} is over the "
+            f"{TRAJECTORY_BYTE_CAP}-byte cap; raise dt or shorten t_end"
+        )
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
     n_bytes = (n_steps + 1) * model.dim**2 * np.dtype(complex).itemsize

@@ -141,45 +141,45 @@ def product_model_dense(p: ProductModelParams) -> tuple[LindbladModel, np.ndarra
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), psi0
 
 
-def product_site_terms(p: ProductModelParams) -> tuple:
-    """The single-site terms of ``p``'s chain, which do not depend on n:
-    (var(H_1), var(L_1), Tr(D^2), Tr(rho1 D)), the last three None without
-    dephasing (gamma = 0)."""
-    psi1 = bloch_state(p.theta)
-    h1 = 0.5 * p.omega * SIGMA_Z
-    dev = h1 @ psi1
+def product_site_terms(theta: float) -> tuple:
+    """The single-site terms of the chain at unit rates (omega = gamma = 1),
+    which depend on theta alone: (var(H_1), var(L_1), Tr(D^2), Tr(rho1 D))."""
+    psi1 = bloch_state(theta)
+    dev = (0.5 * SIGMA_Z) @ psi1
     dev -= np.real(np.vdot(psi1, dev)) * psi1
     var_h1 = float(np.real(np.vdot(dev, dev)))
-    if p.gamma == 0.0:
-        return var_h1, None, None, None
 
-    l1 = math.sqrt(p.gamma) * SIGMA_X
-    dev = l1 @ psi1
+    dev = SIGMA_X @ psi1
     dev -= np.vdot(psi1, dev) * psi1
     var_l1 = float(np.real(np.vdot(dev, dev)))
 
     rho1 = linalg.projector(psi1)
-    deformation = adjoint_dissipator(l1, rho1)
+    deformation = adjoint_dissipator(SIGMA_X, rho1)
     self_overlap = float(np.real(linalg.trace_product(deformation, deformation)))
     cross_overlap = float(np.real(linalg.trace_product(rho1, deformation)))
     return var_h1, var_l1, self_overlap, cross_overlap
 
 
-def product_chain_quantities(site: tuple, n: int) -> QslQuantities:
-    """Speed-limit scalars of the n-site chain from ``product_site_terms``;
-    raises ValueError naming n if a chain term overflows a float."""
+def product_chain_quantities(site: tuple, p: ProductModelParams) -> QslQuantities:
+    """Speed-limit scalars of ``p``'s chain from the ``product_site_terms``
+    of p.theta: the n-site terms at unit rates, then delta_h0 times omega
+    and g_term and e_term times gamma, as ``config.sweep_columns`` scales a
+    unit-rate model; without dephasing (gamma = 0) g_term and e_term are 0.
+    Raises ValueError naming n if a term overflows a float."""
     var_h1, var_l1, self_overlap, cross_overlap = site
-    e_term = g_sq = 0.0
+    n = p.n
+    g_term = e_term = 0.0
     try:
-        var_h = n * var_h1
-        if var_l1 is not None:
-            e_term = n * var_l1
+        delta_h0 = p.omega * math.sqrt(n * var_h1)
+        if p.gamma != 0.0:
+            e_term = p.gamma * (n * var_l1)
             g_sq = n * self_overlap + n * (n - 1) * cross_overlap**2
+            g_term = p.gamma * math.sqrt(max(g_sq, 0.0))
     except OverflowError:  # n or n(n-1) past the float range, or a square
-        var_h = math.inf
-    if not all(map(math.isfinite, (var_h, e_term, g_sq))):
+        delta_h0 = math.inf
+    if not all(map(math.isfinite, (delta_h0, g_term, e_term))):
         raise ValueError(f"the speed-limit terms of the chain of n = {n} sites overflow a float")
-    return QslQuantities.from_terms(math.sqrt(var_h), math.sqrt(max(g_sq, 0.0)), e_term)
+    return QslQuantities.from_terms(delta_h0, g_term, e_term)
 
 
 def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
@@ -194,12 +194,13 @@ def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
     while energy variance and jump-operator variance are additive over
     sites. Agreement with the dense construction is unit-tested for n <= 6.
 
-    The single-site terms come from ``product_site_terms`` and do not
-    depend on n; ``product_chain_quantities`` scales them to n sites. A
-    sweep over n, as the ``scaling`` command runs, computes them once and
-    scales them per n with the same arithmetic as this function.
+    The single-site terms come from ``product_site_terms`` at unit rates and
+    depend on theta alone; ``product_chain_quantities`` scales them to n
+    sites and to the rates. A sweep over n, as the ``scaling`` command runs,
+    computes them once and scales them per n with the same arithmetic as
+    this function.
     """
-    return product_chain_quantities(product_site_terms(p), p.n)
+    return product_chain_quantities(product_site_terms(p.theta), p)
 
 
 def scaling_exponent(samples) -> float:

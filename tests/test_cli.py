@@ -3,6 +3,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +24,14 @@ def write_config(tmp_path, text: str) -> str:
 
 def run(tmp_path, *argv) -> int:
     return cli.main([*argv, "--output", str(tmp_path / "out.csv")])
+
+
+def run_process(*argv, **kwargs) -> int:
+    """Exit code of ``python -m openqsl`` with ``argv`` in a child process
+    that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "openqsl", *argv], env=env, **kwargs).returncode
 
 
 def stub_verify(monkeypatch):
@@ -192,6 +202,11 @@ class TestExitCodes:
             ("fig1b", "[integrator]\ndt = 2\nhorizon = 1", "[integrator] dt:"),
             ("verify", "[integrator]\ndt = 2\nhorizon = 1", "[integrator] dt:"),
             ("evolve", "[integrator]\ndt = 20", "[integrator] dt:"),
+            # a step count past the float range
+            *(
+                (command, "[integrator]\nhorizon = 1e300\ndt = 1e-10", "trajectory of t_end / dt")
+                for command in ("evolve", "fig1b", "verify")
+            ),
         ],
     )
     def test_input_outside_its_domain_exits_one(self, tmp_path, capsys, command, text, where):
@@ -325,6 +340,25 @@ class TestOutputFiles:
         assert run(tmp_path, command) == 0
         assert (tmp_path / "out.csv").is_symlink()
         assert not (tmp_path / "out.csv.meta.json").exists()
+
+    def test_redirected_stdout_output_gets_no_sidecar(self, tmp_path):
+        # stdout goes to a regular file, reached again as /dev/stdout through
+        # a link in tmp_path, so that a stray sidecar would land there
+        link, redirected = tmp_path / "out.csv", tmp_path / "redirected.csv"
+        link.symlink_to("/dev/stdout")
+        with open(redirected, "wb") as stdout:
+            assert run_process("qsl", "--output", str(link), stdout=stdout, cwd=tmp_path) == 0
+        assert redirected.read_text(encoding="utf-8").startswith("sweep_value,delta_h0,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "redirected.csv"]
+
+    def test_output_opened_as_fd_one_is_a_file(self, tmp_path):
+        # with stdout closed the output takes its descriptor, and is still
+        # cut to length and given a sidecar
+        out = tmp_path / "out.csv"
+        out.write_text("x" * 100_000)
+        assert run_process("qsl", "--output", str(out), preexec_fn=lambda: os.close(1)) == 0
+        assert out.read_text(encoding="utf-8").count("\n") == 2
+        assert (tmp_path / "out.csv.meta.json").exists()
 
     def test_symlinked_output_stays_a_link(self, tmp_path):
         assert cli.main(["qsl", "--output", str(tmp_path / "fresh.csv")]) == 0

@@ -1,14 +1,20 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openqsl import cli, config, qsl
 from openqsl.config import ExperimentConfig, build_model, load_config, sweep_columns
+from openqsl.dynamics import LindbladModel
 from openqsl.errors import ConfigError
 
 # Parses as a JSON integer but overflows a float.
 BIG_INT = "9" * 400
+# A qubit with one decay channel, as inline matrices of [re, im] pairs.
+INLINE_MODEL = """[model]
+hamiltonian = [[[1, 0], [0.3, 0]], [[0.3, 0], [-1, 0]]]
+lindblad_ops = [[[[0, 0], [0.5, 0]], [[0, 0], [0, 0]]]]
+psi0 = [[0.6, 0], [0.8, 0]]
+"""
 
 
 def load(tmp_path, text: str) -> ExperimentConfig:
@@ -63,6 +69,11 @@ class TestErrorsNameTheirKey:
                 "[sweep] values:",
                 id="sweep-overflow",
             ),
+            # two errors in one file: the first in reading order is reported
+            ("[sweep]\nname = gamma\n[output]\nformat = xml\n", "[sweep] values:"),
+            ("[output]\ncolour = 1\n[model]\nhamiltonian = [[1, 0]\n", "[model] hamiltonian:"),
+            ("[integrator]\ndt = 0\n[parameters]\ngama = 1\n", "[parameters] gama:"),
+            ("[model]\npsi0 = [[1, 0]]\n[parameters]\ngamma = 2\n", "[model] hamiltonian:"),
         ],
     )
     def test_message_starts_with_section_and_key(self, tmp_path, text, where):
@@ -80,11 +91,6 @@ class TestErrorsNameTheirKey:
             "config error: [model] hamiltonian: required when psi0/lindblad_ops is given\n"
         )
         assert not out.exists()
-
-    def test_build_model_rejects_psi0_without_hamiltonian(self):
-        cfg = ExperimentConfig(psi0=np.array([0.0, 1.0], dtype=complex))
-        with pytest.raises(ConfigError, match=r"^\[model\] hamiltonian: required"):
-            build_model(cfg)
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "experiment.ini"
@@ -123,6 +129,30 @@ class TestSharedParser:
         assert (cfg.preset, cfg.parameters) == ("dephasing", {"omega": 3.0})
 
 
+class TestInlineModel:
+    """load_config builds and checks an inline model once, and every
+    command reads that model."""
+
+    @pytest.mark.parametrize("command", ["qsl", "evolve", "qfi"])
+    def test_command_builds_one_model(self, tmp_path, monkeypatch, command):
+        built, post_init = [], LindbladModel.__post_init__
+
+        def counted(model):
+            built.append(model)
+            post_init(model)
+
+        monkeypatch.setattr(LindbladModel, "__post_init__", counted)
+        path = tmp_path / "inline.ini"
+        path.write_text(INLINE_MODEL + "[integrator]\nhorizon = 0.1\n", encoding="utf-8")
+        argv = [command, "--config", str(path), "--output", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        assert len(built) == 1
+
+    def test_build_model_returns_it(self, tmp_path):
+        cfg = load(tmp_path, INLINE_MODEL)
+        assert build_model(cfg) is cfg.inline
+
+
 class TestSweepColumns:
     @pytest.mark.parametrize(
         "preset, fixed, columns",
@@ -151,12 +181,8 @@ class TestSweepColumns:
                 want.delta_h0, want.g_term, want.e_term, want.v_coeff
             ]
 
-    def test_inline_model_rows_are_its_quantities(self):
-        cfg = ExperimentConfig(
-            hamiltonian=np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex),
-            lindblad_ops=[np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)],
-            psi0=np.array([0.6, 0.8], dtype=complex),
-        )
+    def test_inline_model_rows_are_its_quantities(self, tmp_path):
+        cfg = load(tmp_path, INLINE_MODEL)
         q = qsl.compute_quantities(*build_model(cfg))
         want = [q.delta_h0, q.g_term, q.e_term, q.v_coeff]
         assert [list(column) for column in zip(*sweep_columns(cfg, {"theta_target": [0.2, 0.9]}))] == [
@@ -221,10 +247,6 @@ def _outcome(path: str):
     except ConfigError as exc:
         return str(exc)
     assert isinstance(cfg, ExperimentConfig)
-    arrays = [cfg.hamiltonian, cfg.psi0, *(cfg.lindblad_ops or ())]
-    return (
-        cfg.echo(),
-        cfg.output_path,
-        cfg.output_format,
-        [None if a is None else a.tolist() for a in arrays],
-    )
+    model, psi0 = cfg.inline or (None, None)
+    arrays = [model.hamiltonian, psi0, *model.lindblad_ops] if model else []
+    return (cfg.echo(), cfg.output_path, cfg.output_format, [a.tolist() for a in arrays])

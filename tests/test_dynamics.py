@@ -868,6 +868,9 @@ class TestEvolve:
         monkeypatch.setattr(dynamics, "TRAJECTORY_BYTE_CAP", 6464)
         with pytest.raises(AssertionError, match="_propagate reached"):
             evolve(model, psi0, 1.0, 1e-2)
+        # a step count past the float range, which int() cannot take
+        with pytest.raises(ResourceLimitError, match="^trajectory of t_end / dt = inf steps"):
+            evolve(model, psi0, 1e300, 1e-10)
 
     def test_renormalization_counter_stays_quiet(self):
         model, psi0 = spontaneous_emission_model(1.0)

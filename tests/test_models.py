@@ -61,11 +61,11 @@ class TestProductSplit:
 
     @pytest.mark.parametrize("gamma", [10.0, 0.0])
     def test_site_terms_once_give_the_analytic_bits(self, gamma):
-        site = product_site_terms(ProductModelParams(n=1, omega=0.1, gamma=gamma, theta=math.pi / 4))
+        site = product_site_terms(math.pi / 4)
         for n in (1, *self.N_VALUES):
             p = ProductModelParams(n=n, omega=0.1, gamma=gamma, theta=math.pi / 4)
             # repr tells every float bit apart, -0.0 from 0.0 included
-            assert repr(product_chain_quantities(site, n)) == repr(product_quantities_analytic(p))
+            assert repr(product_chain_quantities(site, p)) == repr(product_quantities_analytic(p))
 
     def test_scaling_computes_the_site_terms_once(self, tmp_path, monkeypatch):
         calls, original = [], models.adjoint_dissipator
@@ -80,6 +80,18 @@ class TestProductSplit:
         argv = ["scaling", "--config", str(config), "--output", str(tmp_path / "out.csv")]
         assert cli.main(argv) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("rate", ["omega = 1e200", "gamma = 1e200"])
+    def test_scaling_at_large_rates_is_finite(self, tmp_path, rate):
+        # the site terms are formed at unit rates, so no rate is squared
+        config = tmp_path / "scaling.ini"
+        config.write_text(f"[parameters]\n{rate}\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert cli.main(["scaling", "--config", str(config), "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(0.0 < float(t) < math.inf for _, t in rows[:-1])
+        assert rows[-1][0] == "exponent" and math.isfinite(float(rows[-1][1]))
 
     @pytest.mark.parametrize("n", [int(1e200), 10**400])
     def test_overflowing_chain_names_n(self, n):

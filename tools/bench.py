@@ -24,10 +24,10 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
   same path each call (``WRITER_TABLES``);
 - the fixed work of a CLI call: ``config.load_config`` on the config of
   the first ``qsl``, ``fig1a`` and ``scaling`` item of the ``sweep_cli``
-  workload (seed 0), the ``configparser.ConfigParser`` construction that
-  ``load_config`` made on every call until it shared one parser, and one
-  ``scaling`` evaluation of the chain's speed-limit scalars over
-  ``SCALING_NS``, as ``cmd_scaling`` runs it.
+  workload (seed 0), and on ``INLINE_CONFIG``, whose inline model it
+  checks and builds;
+- ``dynamics.first_passage_time`` per call at one target on the
+  ``PASSAGE`` trajectory, after its lazy Bures angles have been read.
 
 Without ``--parent`` only the current checkout runs. The output file holds
 every round's numbers, the median and the minimum of the rounds per side,
@@ -39,7 +39,6 @@ difference), and the machine record of ``perfbench/environment.py``.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import itertools
 import json
@@ -85,8 +84,16 @@ WRITER_TABLES = (
     ),
     ("evolve", ""),
 )
-# The default n sweep of the scaling command, at its default parameters.
-SCALING_NS = (64, 128, 256, 512, 1024)
+# A qubit with a decay and a dephasing channel, as inline [model] matrices.
+INLINE_CONFIG = """[model]
+hamiltonian = [[[1, 0], [0.3, 0.1]], [[0.3, -0.1], [-1, 0]]]
+lindblad_ops = [[[[0, 0], [0.5, 0]], [[0, 0], [0, 0]]], [[[0.2, 0], [0, 0]], [[0, 0], [-0.2, 0]]]]
+psi0 = [[0.6, 0], [0, 0.8]]
+"""
+# (dimension, steps) of the random model whose first passage is timed, at
+# step STEP, and the target as a fraction of the largest angle it reaches.
+PASSAGE = (4, 12_000)
+PASSAGE_TARGET = 0.5
 NOTES = (
     "cli_s runs each command once into a fresh temporary directory, so it "
     "creates every file and cannot show what rewriting an existing file "
@@ -118,21 +125,7 @@ def _time_ms(out: dict, group: str, key: str, fn) -> None:
     out[group + "_min"][key] = 1e3 * min(times)
 
 
-def _writer(cli):
-    """The CLI's file writer: ``cli._write_text``, or, in a checkout that
-    predates it, the ``open(path, "w")`` each output site made."""
-    write = getattr(cli, "_write_text", None)
-    if write is None:
-
-        def write(path, text):
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-
-    return write
-
-
 def _time_writer(out: dict, cli, tmp: str) -> None:
-    write = _writer(cli)
     for command, text in WRITER_TABLES:
         config = os.path.join(tmp, f"{command}.ini")
         with open(config, "w", encoding="utf-8") as fh:
@@ -144,42 +137,33 @@ def _time_writer(out: dict, cli, tmp: str) -> None:
             data = fh.read()
         rows = data.count("\n") - 1
         fresh = (os.path.join(tmp, f"{command}-{k}.csv") for k in itertools.count())
-        _time_ms(out, "writer_ms", f"{command} {rows} rows fresh", lambda: write(next(fresh), data))
-        _time_ms(out, "writer_ms", f"{command} {rows} rows overwrite", lambda: write(table, data))
+        _time_ms(out, "writer_ms", f"{command} {rows} rows fresh", lambda: cli._write_text(next(fresh), data))
+        _time_ms(out, "writer_ms", f"{command} {rows} rows overwrite", lambda: cli._write_text(table, data))
 
 
-def _scaling_chain(models):
-    """One ``cmd_scaling`` evaluation of the chain's scalars over SCALING_NS:
-    the single-site terms once, scaled to each n, or, in a checkout that
-    predates that split, ``product_quantities_analytic`` per n."""
-    site_terms = getattr(models, "product_site_terms", None)
-
-    def chain():
-        params = [
-            models.ProductModelParams(n=n, omega=0.1, gamma=10.0, theta=math.pi / 4)
-            for n in SCALING_NS
-        ]
-        if site_terms is None:
-            return [models.product_quantities_analytic(p) for p in params]
-        site = site_terms(params[0])
-        return [models.product_chain_quantities(site, p.n) for p in params]
-
-    return chain
-
-
-def _time_fixed(out: dict, config, models, tmp: str) -> None:
+def _time_fixed(out: dict, config, tmp: str) -> None:
     sweep_cli = workloads.SweepCli()
     for index in range(len(sweep_cli.commands)):
         argv = sweep_cli.inputs(0, index, tmp).argv
         path = argv[argv.index("--config") + 1]
         _time_ms(out, "fixed_ms", f"load_config {argv[0]}", lambda: config.load_config(path))
+    inline = os.path.join(tmp, "inline.ini")
+    with open(inline, "w", encoding="utf-8") as fh:
+        fh.write(INLINE_CONFIG)
+    _time_ms(out, "fixed_ms", "load_config inline", lambda: config.load_config(inline))
+
+
+def _time_passage(out: dict, np, dynamics, verify) -> None:
+    d, n = PASSAGE
+    model, psi0 = verify.random_model(np.random.default_rng([d, n]), d)
+    traj = dynamics.evolve(model, psi0, n * STEP, STEP)
+    target = PASSAGE_TARGET * float(np.max(traj.bures_angles))
     _time_ms(
         out,
-        "fixed_ms",
-        "ConfigParser()",
-        lambda: configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None),
+        "layers",
+        f"first_passage_time d={d} n={n}",
+        lambda: dynamics.first_passage_time(traj, target),
     )
-    _time_ms(out, "fixed_ms", f"scaling chain n x{len(SCALING_NS)}", _scaling_chain(models))
 
 
 def worker(checkout: str) -> dict:
@@ -220,6 +204,7 @@ def worker(checkout: str) -> dict:
         _time_ms(
             out, "layers", f"lindblad_rhs product n={n}", lambda: dynamics.lindblad_rhs(model, rho0)
         )
+    _time_passage(out, np, dynamics, verify)
     for name in SUITES:
         t = time.perf_counter()
         getattr(verify, name)()
@@ -230,7 +215,7 @@ def worker(checkout: str) -> dict:
             argv = [command, "--output", os.path.join(tmp, command)]
             _time_ms(out, "cli_main_ms", command, lambda: cli.main(argv))
         _time_writer(out, cli, tmp)
-        _time_fixed(out, config, models, tmp)
+        _time_fixed(out, config, tmp)
     return out
 
 
