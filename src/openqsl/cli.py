@@ -1,29 +1,25 @@
 """Command-line front end: sweeps, figure data, trajectory dumps and the
 randomized verification harness, all emitted as reproducible CSV/JSON.
 
-Each command but ``verify`` hands a header and rows to ``_emit``, which
-writes them to ``--output``, [output] path or a default name, plus a
-``<path>.meta.json`` sidecar echoing the configuration, seed, step size,
-the decay constant of the damping model (checked against the integrator by
-``tests/test_models.py``), and the library version; ``verify`` writes its
-own report, JSON only, and the same sidecar. The sidecar is written only
-when the output is a regular file other than stdout's: ``/dev/stdout``, a
-FIFO or ``os.devnull`` gets none, where it would land as
-``/dev/null.meta.json``, and neither does ``/dev/stdout`` with stdout
-redirected to a file.
-Numeric fields are serialized with 17 significant digits, so identical
-inputs give byte-identical files. ``--seed`` takes a nonnegative integer,
-as numpy's generators do; a negative one is a usage error, so ``verify``
-stops before any suite runs.
+Every command hands its text to ``_emit``: the six table commands pass
+``_table``'s CSV or JSON records, and ``verify`` its JSON report. ``_emit``
+writes it to ``--output``, [output] path or ``<command>.<format>``
+(``trajectory.<format>`` for ``evolve``) through ``_write_text``, the one
+place in the package that opens a file for writing, and then, if that is
+a regular file other than stdout's, a ``<path>.meta.json`` sidecar
+echoing the configuration, seed, step size, the decay constant of the
+damping model (checked against the integrator by ``tests/test_models.py``),
+and the library version. ``/dev/stdout``, a FIFO or ``os.devnull`` gets no
+sidecar, nor does stdout's own file, which is written through stdout so
+that ``--output /dev/stdout >> log`` appends. Numeric fields are
+serialized with 17 significant digits, so identical inputs give
+byte-identical files. ``--seed`` takes a nonnegative integer, as numpy's
+generators do; a negative one is a usage error, so ``verify`` stops
+before any suite runs.
 
-Every file goes through ``_write_text``, the one place in the package that
-opens a file for writing. It rewrites an existing file in place and cuts it
-to length afterwards, instead of truncating it first: on ext4 (default
-``auto_da_alloc``) a file that held data and is truncated, rewritten and
-closed is flushed to disk on close, about 100 µs for a 3 KB file, which is
-more than a ``qsl`` sweep's arithmetic. The price is that a kill between
-the write and the final truncation can leave the old tail past the new
-end. No output is fsynced, so none is durable against a crash either way.
+Before a command runs, ``_check_reads`` rejects a sweep that it does not
+read and, for ``qsl``, ``qfi`` and ``evolve``, a preset's model parameter
+set or swept beside an inline model.
 
 Models come from ``config`` alone. ``qsl`` and ``fig1a`` take their
 speed-limit scalars as columns from ``config.sweep_columns``, which builds
@@ -52,6 +48,7 @@ import numpy as np
 
 from . import __version__, fisher, qsl, verify
 from .config import (
+    MODEL_PARAMETERS,
     PRESET_DEFAULTS,
     ExperimentConfig,
     build_model,
@@ -105,16 +102,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return '"%s"' % repr(value)
-    return _fmt(value)
-
-
 def _to_json(obj, indent: int = 0) -> str:
     if type(obj) is float and math.isfinite(obj):
         return format(obj, ".17g")
@@ -123,46 +110,46 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [
-            f'{inner}{_json_scalar(str(k))}: {_to_json(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
+        parts = [f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         parts = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return _json_scalar(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return '"%s"' % repr(obj)
+    return _fmt(obj)
 
 
-def _emit(args, cfg: ExperimentConfig, stem: str, header: list, rows: list, dt) -> int:
-    """Write a command's table to --output, [output] path or
-    ``<stem>.<format>``, and its sidecar with step size ``dt``; exit 0."""
-    path = args.output or cfg.output_path or f"{stem}.{args.format}"
-    if args.format == "csv":
+def _table(fmt: str, header: list, rows: list) -> str:
+    """The rows under ``header`` as CSV, or as JSON records."""
+    if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(map(_fmt, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        records = [dict(zip(header, row)) for row in rows]
-        text = _to_json(records) + "\n"
-    _write_output(path, text, cfg, args.seed, dt)
-    return 0
+        return "\n".join(lines) + "\n"
+    return _to_json([dict(zip(header, row)) for row in rows]) + "\n"
 
 
-def _write_output(path: str, text: str, cfg: ExperimentConfig, seed: int, dt) -> None:
-    """Write a command's ``text`` to ``path`` and, if that is a regular
-    file, its sidecar ``<path>.meta.json`` with step size ``dt``."""
+def _emit(args, cfg: ExperimentConfig, stem: str, text: str, dt) -> int:
+    """Write a command's ``text`` to --output, [output] path or
+    ``<stem>.<format>`` and, if that is a regular file other than stdout's,
+    its sidecar ``<path>.meta.json`` with step size ``dt``; exit 0."""
+    path = args.output or cfg.output_path or f"{stem}.{args.format}"
     if _write_text(path, text):
         meta = {
             "config": cfg.echo(),
-            "seed": seed,
+            "seed": args.seed,
             "dt": dt,
             "emission_decay_per_gamma": EMISSION_DECAY_PER_GAMMA,
             "version": __version__,
         }
         _write_text(path + ".meta.json", _to_json(meta) + "\n")
+    return 0
 
 
 def _write_text(path: str, text: str) -> bool:
@@ -173,14 +160,18 @@ def _write_text(path: str, text: str) -> bool:
     length. So a path that exists keeps its inode, mode and hard links, and
     a symlink stays a symlink whose target gets the bytes, as with
     ``open(path, "w")``. A new file is created with mode 0o666 less the
-    umask. ``/dev/stdout``, a FIFO or ``os.devnull`` is written as a stream,
-    and so is the file that stdout is redirected to.
+    umask. ``/dev/stdout``, a FIFO or ``os.devnull`` is written as a stream.
+    The file that stdout is open on is written through stdout itself, after
+    ``sys.stdout`` is flushed, so a ``>>`` redirect is appended to and the
+    shell's offset is kept; it is never truncated.
 
-    Truncating first makes ext4 flush the file on close, about 100 µs for
-    3 KB. Writing a temp file and ``os.replace``-ing it costs the same
-    flush (72 µs); unlinking and creating anew breaks symlinks, hard links
-    and the mode. The trade-off: a kill between the write and the
-    truncation leaves the old tail past the new end.
+    Truncating first makes ext4 (default ``auto_da_alloc``) flush the file
+    on close, about 100 µs for 3 KB, more than a ``qsl`` sweep's
+    arithmetic. Writing a temp file and ``os.replace``-ing it costs the
+    same flush (72 µs); unlinking and creating anew breaks symlinks, hard
+    links and the mode. The trade-off: a kill between the write and the
+    truncation leaves the old tail past the new end. No output is fsynced,
+    so none is durable against a crash either way.
 
     Returns whether ``path`` is a regular file other than stdout's; raises
     ConfigError if it cannot be opened or written.
@@ -189,11 +180,15 @@ def _write_text(path: str, text: str) -> bool:
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
+            st = os.fstat(fd)
+            own = _is_stdout(fd, st)
+            if own:
+                sys.stdout.flush()
+            out = 1 if own else fd
             written = 0
             while written < len(data):
-                written += os.write(fd, data[written:])
-            st = os.fstat(fd)
-            regular = stat.S_ISREG(st.st_mode) and not _is_stdout(fd, st)
+                written += os.write(out, data[written:])
+            regular = stat.S_ISREG(st.st_mode) and not own
             if regular:
                 os.ftruncate(fd, len(data))
         finally:
@@ -234,7 +229,7 @@ def cmd_qsl(cfg: ExperimentConfig, args) -> int:
             bound, lower, status = None, None, "frozen_dynamics"
         rows.append([value, delta_h0, g_term, e_term, v_coeff, bound, lower, status])
     header = ["sweep_value", "delta_h0", "g_term", "e_term", "v_coeff", "t_qsl", "t_lower", "status"]
-    return _emit(args, cfg, "qsl", header, rows, cfg.dt)
+    return _emit(args, cfg, "qsl", _table(args.format, header, rows), cfg.dt)
 
 
 def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
@@ -260,7 +255,7 @@ def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
 
     points = len(gammas)
     rows = [[gamma, *times[k::points]] for k, gamma in enumerate(gammas)]
-    return _emit(args, cfg, "fig1a", header, rows, None)
+    return _emit(args, cfg, "fig1a", _table(args.format, header, rows), None)
 
 
 def _fig1b_targets() -> list:
@@ -290,7 +285,7 @@ def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
             [target, exact_emission_time(gamma, target), t_fp, qsl.t_qsl(q, target)]
         )
     header = ["theta_target", "t_exa", "t_first_passage", "t_qsl"]
-    return _emit(args, cfg, "fig1b", header, rows, dt)
+    return _emit(args, cfg, "fig1b", _table(args.format, header, rows), dt)
 
 
 def cmd_scaling(cfg: ExperimentConfig, args) -> int:
@@ -319,7 +314,7 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
 
     rows = [[n, t] for n, t in samples]
     rows.append(["exponent", exponent])
-    return _emit(args, cfg, "scaling", ["n", "t_qsl"], rows, None)
+    return _emit(args, cfg, "scaling", _table(args.format, ["n", "t_qsl"], rows), None)
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
@@ -351,8 +346,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
             for r in results
         ],
     }
-    path = args.output or cfg.output_path or "verify.json"
-    _write_output(path, _to_json(report) + "\n", cfg, args.seed, dt)
+    _emit(args, cfg, "verify", _to_json(report) + "\n", dt)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         skipped = "".join(f", {n} skipped ({reason})" for reason, n in r.skipped.items())
@@ -387,7 +381,7 @@ def cmd_qfi(cfg: ExperimentConfig, args) -> int:
         for r in reports
     ]
     header = ["t", "fidelity", "qfi_estimate", "qfi_bound", "satisfied", "in_window"]
-    return _emit(args, cfg, "qfi", header, rows, dt)
+    return _emit(args, cfg, "qfi", _table(args.format, header, rows), dt)
 
 
 def cmd_evolve(cfg: ExperimentConfig, args) -> int:
@@ -398,7 +392,7 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
         for k in range(len(traj.times))
     ]
     header = ["t", "theta", "trace_drift", "min_eig"]
-    return _emit(args, cfg, "trajectory", header, rows, traj.dt)
+    return _emit(args, cfg, "trajectory", _table(args.format, header, rows), traj.dt)
 
 
 # The sweep names each command reads besides the model's own parameters,
@@ -406,9 +400,18 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
 COMMAND_SWEEPS = {"qsl": ("theta_target",), "scaling": ("n",), "qfi": ("t",)}
 
 
-def _check_sweep(command: str, cfg: ExperimentConfig) -> None:
-    """Reject a sweep over a key that the command never reads; it would
-    write the same row once per value."""
+def _check_reads(command: str, cfg: ExperimentConfig) -> None:
+    """Reject a sweep over a key that the command never reads, which would
+    write the same row once per value. In the commands that read the model,
+    qsl, qfi and evolve, also reject a preset's model parameter set or
+    swept beside an inline model, which reads none; fig1a, fig1b and
+    scaling read those keys themselves."""
+    if cfg.inline is not None and command in ("qsl", "qfi", "evolve"):
+        for key in cfg.parameters:
+            if key in MODEL_PARAMETERS:
+                raise ConfigError(f"[parameters] {key}: an inline model does not read it")
+        if cfg.sweep_name in MODEL_PARAMETERS:
+            raise ConfigError(f"[sweep] name: an inline model does not read {cfg.sweep_name!r}")
     if not cfg.sweep_name:
         return
     reads = COMMAND_SWEEPS.get(command, ())
@@ -465,7 +468,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.format is None:
             args.format = cfg.output_format or ("json" if args.command == "verify" else "csv")
-        _check_sweep(args.command, cfg)
+        _check_reads(args.command, cfg)
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, ResourceLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

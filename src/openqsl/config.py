@@ -13,10 +13,12 @@ A config file has up to five sections::
 ``load_config`` reads the sections in the order of ``_SECTIONS``, which
 holds the parser of every key, and reports the first problem. It checks
 and builds an inline model once, as the config's ``inline`` pair: a
-non-Hermitian Hamiltonian, a denormalized state vector, or a model
-parameter (omega, gamma, theta, n) set or swept beside them, which an
-inline model would not read, is rejected naming its key. A [parameters]
-or sweep value is checked against its key's domain when a command reads it.
+non-Hermitian Hamiltonian or a denormalized state vector is rejected
+naming its key. A model parameter (omega, gamma, theta, n) set or swept
+beside an inline model is rejected by the commands that read the model
+(``cli._check_reads``), as the model would not read it; the other commands
+read those keys themselves. A [parameters] or sweep value is checked
+against its key's domain when a command reads it.
 
 One ``configparser.ConfigParser`` serves every ``load_config`` call of the
 process, built on first use: constructing one costs as much as reading a
@@ -70,7 +72,7 @@ PRESET_DEFAULTS = {
 }
 PRESETS = sorted(PRESET_DEFAULTS)
 # The model parameters of the presets, which an inline model does not read.
-_MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
+MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
 # What the commands require of the [parameters] keys they read directly, and
 # of sweep values over those keys; the model parameters (omega, gamma, theta
 # and n >= 1) are checked by their preset when a model is built.
@@ -88,7 +90,7 @@ _DOMAINS = {
 }
 # Every [parameters] key that a command reads; a sweep may vary any of
 # them, or the time grid "t".
-_PARAMETER_KEYS = set(_DOMAINS) | _MODEL_PARAMETERS
+_PARAMETER_KEYS = set(_DOMAINS) | MODEL_PARAMETERS
 
 
 @dataclass
@@ -315,23 +317,14 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError("[sweep] values: required when a sweep name is given")
             raise ConfigError("[sweep] name: required when sweep values are given")
 
-    model, parameters, sweep = read["model"], read["parameters"], read["sweep"]
+    model, sweep = read["model"], read["sweep"]
     preset = model.pop("preset", None)
     if preset is not None and "hamiltonian" in model:
         raise ConfigError("[model]: give either a preset or inline matrices, not both")
-    # An inline model reads none of the presets' model parameters.
-    inline = None
-    if model:
-        inline = _inline_model(**model)
-        for key in parameters:
-            if key in _MODEL_PARAMETERS:
-                raise ConfigError(f"[parameters] {key}: an inline model does not read it")
-        if sweep.get("name") in _MODEL_PARAMETERS:
-            raise ConfigError(f"[sweep] name: an inline model does not read {sweep['name']!r}")
     return ExperimentConfig(
         preset=preset,
-        inline=inline,
-        parameters=parameters,
+        inline=_inline_model(**model) if model else None,
+        parameters=read["parameters"],
         **read["integrator"],
         sweep_name=sweep.get("name"),
         sweep_values=sweep.get("values"),

@@ -314,9 +314,10 @@ def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float, c
     give [b, 2b) in one product with (P^b)^T, and P^2b = (P^b)^2; then each
     chunk of b states gives the next (b = 1 and the Taylor step above
     SUPEROP_DIM_LIMIT). State 0, and each chunk that would pass on a span
-    over SPAN, is rescaled by its trace before it is advanced. The states up
-    to it, and at the end the rest, are measured, those off by more than
-    RENORM_THRESHOLD rescaled; ``trace_errors`` holds the errors before any
+    over SPAN, is rescaled by its trace before it is advanced, from the
+    traces of the pass that measures the states up to it; at the end the
+    rest are measured. A measured state off by more than RENORM_THRESHOLD
+    is rescaled once; ``trace_errors`` holds the errors before any
     rescaling and ``n_renorm`` counts those. If there are any, the march is
     taken again ``checked``: each source chunk is measured before it is
     advanced, so no state comes from a drifting one.
@@ -328,32 +329,33 @@ def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float, c
     trace_errors = np.empty(n_steps + 1)
     measured = 0
 
-    def measure(hi: int) -> None:
-        # Record the errors of [measured, hi) and rescale the drifting states.
+    def measure(hi: int, forced: int | None = None) -> None:
+        # Record the errors of [measured, hi), and rescale by its trace, once,
+        # each drifting state there and every state from ``forced`` on.
         nonlocal measured
-        traces = real[measured:hi] @ unit
-        trace_errors[measured:hi] = errs = np.abs(traces - 1.0)
-        if errs.max(initial=0.0) > RENORM_THRESHOLD:
-            drift = errs > RENORM_THRESHOLD
-            real[measured:hi][drift] *= (1.0 / traces[drift])[:, None]
+        forced = hi if forced is None else forced
+        lo, cut = min(measured, forced), max(measured, forced)
+        traces = real[lo:hi] @ unit
+        trace_errors[measured:hi] = errs = np.abs(traces[measured - lo :] - 1.0)
+        free = errs[: cut - measured]  # the measured states not forced
+        if free.max(initial=0.0) > RENORM_THRESHOLD:
+            drift = free > RENORM_THRESHOLD
+            real[measured:cut][drift] *= (1.0 / traces[measured - lo : cut - lo][drift])[:, None]
+        if forced < hi:
+            real[forced:hi] *= (1.0 / traces[forced - lo :])[:, None]
         measured = hi
-
-    def rescale(lo: int, hi: int) -> None:
-        real[lo:hi] *= (1.0 / (real[lo:hi] @ unit))[:, None]
 
     superop = d <= SUPEROP_DIM_LIMIT
     limit = _chunk_steps(d, n_steps) if superop else 1
     step = _rk4_propagator(model.liouvillian, h).T if superop else None
     flat[0] = rho0.reshape(-1)
-    measure(1)
-    rescale(0, 1)
+    measure(1, forced=0)
     # States [0, s) are filled; the newest chunk, [s - b, s), has spans <= span.
     b, span, s = 1, 0, 1
     while s <= n_steps:
         m = min(b, n_steps + 1 - s)
         if span + b > SPAN:
-            measure(s)
-            rescale(max(s - b, 1), s)
+            measure(s, forced=max(s - b, 1))
             span = 0
         elif checked:
             measure(s)

@@ -351,6 +351,23 @@ class TestOutputFiles:
         assert redirected.read_text(encoding="utf-8").startswith("sweep_value,delta_h0,")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "redirected.csv"]
 
+    @pytest.mark.parametrize("link", [False, True], ids=["dev-stdout", "link"])
+    def test_stdout_output_appends_to_a_redirect(self, tmp_path, link):
+        # `openqsl qsl --output /dev/stdout >> log.txt` keeps the log's lines;
+        # the link in tmp_path is where a stray sidecar would land
+        log = tmp_path / "log.txt"
+        log.write_text("first\nsecond\n", encoding="utf-8")
+        output = "/dev/stdout"
+        if link:
+            output = tmp_path / "out.csv"
+            output.symlink_to("/dev/stdout")
+        with open(log, "ab") as stdout:
+            assert run_process("qsl", "--output", str(output), stdout=stdout, cwd=tmp_path) == 0
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["first", "second"]
+        assert lines[2].startswith("sweep_value,delta_h0,") and len(lines) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt"] + ["out.csv"] * link
+
     def test_output_opened_as_fd_one_is_a_file(self, tmp_path):
         # with stdout closed the output takes its descriptor, and is still
         # cut to length and given a sidecar
@@ -493,6 +510,29 @@ class TestRateScaledSweeps:
         assert run(tmp_path, command, "--config", write_config(tmp_path, text)) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("fig1a", "[parameters]\ntheta = 1.0"),
+            ("scaling", "[parameters]\ntheta = 1.0"),
+            ("fig1b", "[parameters]\ngamma = 2.0"),
+            ("scaling", "[sweep]\nname = n\nvalues = 16, 32, 64"),
+        ],
+        ids=["fig1a-theta", "scaling-theta", "fig1b-gamma", "scaling-n-sweep"],
+    )
+    def test_commands_that_skip_the_model_read_its_keys(self, tmp_path, command, extra):
+        # fig1a, fig1b and scaling never read [model] and read these keys
+        # themselves, so an inline model beside them changes no row
+        inline = (
+            "[model]\nhamiltonian = [[[1, 0], [0.3, 0.1]], [[0.3, -0.1], [-1, 0]]]\n"
+            "psi0 = [[0.6, 0], [0, 0.8]]\n"
+        )
+        tables = []
+        for text in (inline + extra, extra):
+            assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 0
+            tables.append((tmp_path / "out.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_frozen_row_at_zero_rate(self, tmp_path):
         path = write_config(

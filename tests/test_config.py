@@ -49,11 +49,6 @@ class TestErrorsNameTheirKey:
             ("[model]\npsi0 = [[0, 0], [1, 0]]\n", "[model] hamiltonian:"),
             ("[model]\nlindblad_ops = [[[[1, 0]]]]\n", "[model] hamiltonian:"),
             ("[model]\npreset = dephasing\npsi0 = [[0, 0], [1, 0]]\n", "[model] hamiltonian:"),
-            ("[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, 0]]\n[parameters]\ngamma = 2\n", "[parameters] gamma:"),
-            (
-                "[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, 0]]\n[sweep]\nname = theta\nvalues = 1\n",
-                "[sweep] name:",
-            ),
             pytest.param(
                 f"[model]\nhamiltonian = [[[{BIG_INT}, 0]]]\npsi0 = [[1, 0]]\n",
                 "[model] hamiltonian:",
@@ -151,6 +146,20 @@ class TestInlineModel:
     def test_build_model_returns_it(self, tmp_path):
         cfg = load(tmp_path, INLINE_MODEL)
         assert build_model(cfg) is cfg.inline
+
+    @pytest.mark.parametrize(
+        "extra, parameters, sweep",
+        [
+            ("[parameters]\ngamma = 2\n", {"gamma": 2.0}, None),
+            ("[sweep]\nname = theta\nvalues = 1\n", {}, "theta"),
+        ],
+    )
+    def test_model_parameters_beside_it_load(self, tmp_path, extra, parameters, sweep):
+        # fig1a, fig1b and scaling read these keys themselves; the commands
+        # that read the model reject them (tests/test_cli.py)
+        cfg = load(tmp_path, INLINE_MODEL + extra)
+        assert cfg.inline is not None
+        assert (cfg.parameters, cfg.sweep_name) == (parameters, sweep)
 
 
 class TestSweepColumns:

@@ -27,7 +27,8 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
   workload (seed 0), and on ``INLINE_CONFIG``, whose inline model it
   checks and builds;
 - ``dynamics.first_passage_time`` per call at one target on the
-  ``PASSAGE`` trajectory, after its lazy Bures angles have been read.
+  ``PASSAGE`` trajectory, after its lazy Bures angles have been read;
+- the minor page faults of all of the above, one count per worker.
 
 Without ``--parent`` only the current checkout runs. The output file holds
 every round's numbers, the median and the minimum of the rounds per side,
@@ -44,6 +45,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -185,6 +187,7 @@ def worker(checkout: str) -> dict:
         "fixed_ms_min",
     )
     out = {group: {} for group in groups}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for d, ns in GRID:
         for n in ns:
             model, psi0 = verify.random_model(np.random.default_rng([d, n]), d)
@@ -216,6 +219,7 @@ def worker(checkout: str) -> dict:
             _time_ms(out, "cli_main_ms", command, lambda: cli.main(argv))
         _time_writer(out, cli, tmp)
         _time_fixed(out, config, tmp)
+    out["minflt"] = {"worker pass": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
     return out
 
 
@@ -326,6 +330,7 @@ def main(argv=None) -> int:
             "writer_ms_min": "ms, minimum of the same writes",
             "fixed_ms": "ms, median of repeated calls of a CLI call's fixed work",
             "fixed_ms_min": "ms, minimum of the same calls",
+            "minflt": "minor page faults (getrusage ru_minflt) of all of a worker's timed cells",
         },
         "notes": NOTES,
         "timings": _summary(runs),
