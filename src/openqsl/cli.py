@@ -93,7 +93,7 @@ def _fmt(value) -> str:
         return format(value, ".17g")
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
         return value
@@ -122,7 +122,7 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
-        return '"%s"' % repr(obj)
+        return '"%s"' % repr(float(obj))
     return _fmt(obj)
 
 

@@ -163,6 +163,10 @@ def _parse_complex_array(raw, where: str, expect_vector: bool = False) -> np.nda
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: entries must be numeric [re, im] pairs ({exc})")
+    # numpy reads true and false as 1 and 0. An array that converts to floats
+    # is rectangular, so its object form holds the parsed entries one by one.
+    if any(isinstance(x, bool) for x in np.asarray(raw, dtype=object).flat):
+        raise ConfigError(f"{where}: entries must be numeric [re, im] pairs, not true or false")
     if not np.isfinite(arr).all():
         raise ConfigError(f"{where}: entries must be finite")
     if arr.ndim < 2 or arr.shape[-1] != 2:
@@ -201,6 +205,8 @@ def _parse_values(text: str, where: str) -> list:
     out = []
     for v in values:
         try:
+            if isinstance(v, bool):  # float() reads JSON true and false as 1 and 0
+                raise TypeError
             fv = float(v)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{where}: sweep value {v!r} is not a number")

@@ -428,19 +428,20 @@ def _min_eigs(states: np.ndarray) -> np.ndarray:
 # scales each column by the reciprocal of its pivot's root, as LAPACK's
 # unblocked zpotf2 does (one more rounding, within the small constant).
 # The sweep runs on an entries-major copy of a whole chunk, so each of its
-# few numpy calls per column acts on vectors of length m instead of on
-# d x d matrices. It streams the trailing block through memory at every
-# column, about d^3 m / 3 entries in all, where LAPACK keeps each matrix in
-# cache: above SWEEP_DIM_LIMIT LAPACK's batched zpotrf is faster. Below
-# SWEEP_MIN_STATES states the fixed cost of the sweep's 7d calls outweighs
-# one LAPACK call per state. SWEEP_DIM_LIMIT was measured with 2048-state
-# chunks on 1001 and 12 001 states: the sweep won at d = 8 in one process
-# (8/10, 7/10 alternating rounds) and in fresh ones (8/8, 5/8), lost at
-# d = 9 on 12 001 states in fresh processes (2/8) and at d >= 11 in all.
-# SWEEP_MIN_STATES was measured with 8192-state chunks: 256 states is the
-# shortest stack on which the sweep wins at every d = 2..7.
+# numpy calls acts on vectors of length m instead of on d x d matrices:
+# about 5 per column, and 2 per row of the trailing block's lower triangle,
+# the only part a later column reads. It streams that triangle through
+# memory at every column, about d^3 m / 6 entries in all, where LAPACK
+# keeps each matrix in cache: above SWEEP_DIM_LIMIT LAPACK's batched zpotrf
+# is faster. Below SWEEP_MIN_STATES states the fixed cost of the sweep's
+# calls outweighs one LAPACK call per state. Both were measured with
+# 2048-state chunks in fresh processes, 8 alternating rounds a cell. On
+# 1001 and 12 001 states the sweep won at d = 9, 10 and 11 (7/8 or 8/8
+# each) and tied LAPACK at d = 12 (5/8, 3/8). On 256 states it won at
+# d = 2, 4, 6 and 11 (7/8 or 8/8) and tied at d = 8 (4/8); on 128 it lost
+# at d >= 4.
 _POSITIVITY_SHIFT = -MIN_EIG_LIMIT * (1.0 - 1e-6)
-SWEEP_DIM_LIMIT = 8
+SWEEP_DIM_LIMIT = 11
 SWEEP_MIN_STATES = 256
 
 
@@ -459,7 +460,9 @@ def _cholesky_sweep(a: np.ndarray) -> bool:
         if j + 1 < d:
             col = a[j + 1 :, j]
             col *= 1.0 / np.sqrt(pivot)
-            a[j + 1 :, j + 1 :] -= col[:, None] * col[None].conj()
+            conj = col.conj()
+            for i in range(j + 1, d):
+                a[i, j + 1 : i + 1] -= col[i - j - 1] * conj[: i - j]
     return True
 
 
@@ -478,7 +481,7 @@ def _certified(states: np.ndarray) -> bool:
         if sweep:
             # A copy, never a view: the sweep overwrites it, and
             # np.ascontiguousarray returns a view of a one-state chunk.
-            if not _cholesky_sweep(np.moveaxis(block, 0, -1).copy()):
+            if not _cholesky_sweep(block.transpose(1, 2, 0).copy()):
                 return False
         else:
             try:
@@ -584,27 +587,29 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
 def _states_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     """States of the run at arbitrary times within its span, gated like evolve's.
 
-    The state at t is one RK4 step of the remainder t - times[k] from the
-    last stored state k at or before t, or that stored state itself, bit
-    for bit, when the remainder is 0. The steps of all samples come from one
-    batch of Taylor terms. Each sample is rescaled by its trace under the
-    same RENORM_THRESHOLD rule as a stored state and must pass the same
-    quality gate; a failure names the sample's time and fractional step.
+    A time that lands on a stored state k is that stored state, bit for bit,
+    which ``evolve`` has already rescaled and gated. Any other time t is one
+    RK4 step of the remainder t - times[k] from the last stored state k
+    before it; the steps of all these samples come from one batch of Taylor
+    terms. Only these samples are rescaled by their traces under the same
+    RENORM_THRESHOLD rule as a stored state and must pass the same quality
+    gate; a failure names the sample's time and fractional step.
     """
     ks = np.searchsorted(traj.times, times, "right") - 1
     taus = times - traj.times[ks]
     out = traj.states[ks]
-    step = taus != 0.0
-    with np.errstate(all="ignore"):
-        if step.any():
+    step = np.flatnonzero(taus)
+    if step.size:
+        with np.errstate(all="ignore"):
             flat = out[step].reshape(-1, traj.rho0.size)
-            steps = _partial_steps(_taylor_terms(traj.model, flat), taus[step, None])
-            out[step] = steps.reshape(-1, *traj.rho0.shape)
-        traces = np.trace(out, axis1=1, axis2=2).real
-        trace_errors = np.abs(traces - 1.0)
-        drift = trace_errors > RENORM_THRESHOLD
-        out[drift] /= traces[drift, None, None]
-        _quality_gate(out, trace_errors, times, ks + taus / traj.dt)
+            samples = _partial_steps(_taylor_terms(traj.model, flat), taus[step, None])
+            samples = samples.reshape(-1, *traj.rho0.shape)
+            traces = np.trace(samples, axis1=1, axis2=2).real
+            trace_errors = np.abs(traces - 1.0)
+            drift = trace_errors > RENORM_THRESHOLD
+            samples[drift] /= traces[drift, None, None]
+            _quality_gate(samples, trace_errors, times[step], ks[step] + taus[step] / traj.dt)
+        out[step] = samples
     return out
 
 

@@ -12,6 +12,8 @@ integrated states is checked in ``dynamics``, where the states are.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, ResourceLimitError
@@ -35,7 +37,7 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 def frobenius_norm(m: np.ndarray) -> float:
     """sqrt(Tr(m^dag m)); zero iff m is the zero matrix."""
-    return float(np.sqrt(np.sum(np.abs(m) ** 2)))
+    return float(np.sqrt((np.abs(m) ** 2).sum()))
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
@@ -78,7 +80,8 @@ def pure_state(amplitudes) -> np.ndarray:
     if psi.size < 1:
         raise DimensionMismatchError("state vector is empty")
     _check_finite(psi, "state vector")
-    nrm = float(np.linalg.norm(psi))
+    # numpy.linalg.norm's own formula for a complex vector, without its wrapper.
+    nrm = math.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond {STATE_NORM_TOL:g}")
     return psi / nrm
@@ -87,4 +90,4 @@ def pure_state(amplitudes) -> np.ndarray:
 def projector(psi: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |psi><psi|."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return np.outer(psi, psi.conj())
+    return psi[:, None] * psi.conj()

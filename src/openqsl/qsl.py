@@ -66,8 +66,8 @@ def compute_quantities(model: LindbladModel, psi0) -> QslQuantities:
     # Each variance is ||(A - <A>) psi||^2, which cannot cancel to rounding
     # noise the way <A^dag A> - |<A>|^2 does when psi is nearly an eigenstate.
     dev = h @ psi0
-    dev -= np.real(np.vdot(psi0, dev)) * psi0
-    delta_h0 = math.sqrt(float(np.real(np.vdot(dev, dev))))
+    dev -= np.vdot(psi0, dev).real * psi0
+    delta_h0 = math.sqrt(float(np.vdot(dev, dev).real))
 
     rho0 = linalg.projector(psi0)
     g_term = linalg.frobenius_norm(_dissipate(*model._jumps, rho0, adjoint=True))
@@ -75,7 +75,7 @@ def compute_quantities(model: LindbladModel, psi0) -> QslQuantities:
     for op in model.lindblad_ops:
         dev = op @ psi0
         dev -= np.vdot(psi0, dev) * psi0
-        e_term += float(np.real(np.vdot(dev, dev)))
+        e_term += float(np.vdot(dev, dev).real)
     return QslQuantities.from_terms(delta_h0, g_term, e_term)
 
 

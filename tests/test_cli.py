@@ -421,6 +421,17 @@ class TestOutputFiles:
             "    0.10000000000000001,\n    true,\n    3\n  ]\n}"
         )
 
+    def test_numpy_scalars_are_spelled_as_python_ones(self):
+        # np.float64 is a float subclass and np.bool_ is not a bool: both are
+        # written as the Python float and bool they hold
+        values = [np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf)]
+        values += [np.bool_(True), np.bool_(False)]
+        assert cli._to_json(values) == '[\n  "nan",\n  "inf",\n  "-inf",\n  true,\n  false\n]'
+        assert cli._to_json(values) == cli._to_json([float(v) for v in values[:3]] + [True, False])
+        assert cli._table("csv", ["a", "b", "c"], [values[:3], values[3:] + [1.5]]) == (
+            "a,b,c\nnan,inf,-inf\ntrue,false,1.5\n"
+        )
+
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:

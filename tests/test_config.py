@@ -42,6 +42,14 @@ class TestErrorsNameTheirKey:
             ("[sweep]\nvalues = 1, 2\n", "[sweep] name:"),
             ("[sweep]\nname = gamma\n", "[sweep] values:"),
             ("[sweep]\nname = gamma\nvalues = [1, \"x\"]\n", "[sweep] values:"),
+            # JSON booleans are not numbers, though float() and numpy read them as 1 and 0
+            ("[sweep]\nname = gamma\nvalues = [true, 2.0, false]\n", "[sweep] values:"),
+            ("[model]\nhamiltonian = [[[true, 0]]]\npsi0 = [[1, 0]]\n", "[model] hamiltonian:"),
+            ("[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, false]]\n", "[model] psi0:"),
+            (
+                "[model]\nhamiltonian = [[[1, 0]]]\nlindblad_ops = [[[[0, true]]]]\npsi0 = [[1, 0]]\n",
+                "[model] lindblad_ops[0]:",
+            ),
             ("[output]\nformat = xml\n", "[output] format:"),
             ("[model]\nhamiltonian = [[[1, 0]]]\n", "[model] psi0:"),
             ("[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, 0], [0, 0]]\n", "[model] psi0:"),

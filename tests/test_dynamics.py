@@ -630,6 +630,39 @@ class TestPositivityGate:
         assert dynamics._certified(states) is False
 
     @pytest.mark.parametrize("dim", range(2, 9))
+    def test_sweep_bitwise_equal_to_full_block_reference(self, rng, dim):
+        # the reference updates the whole trailing block at every column; the
+        # sweep updates its lower triangle, the only part any column reads
+        def full_block_reference(a):
+            d = a.shape[0]
+            a.reshape(d * d, -1)[:: d + 1] += dynamics._POSITIVITY_SHIFT
+            for j in range(d):
+                pivot = a[j, j].real
+                if not pivot.min() > 0.0:
+                    return False
+                if j + 1 < d:
+                    col = a[j + 1 :, j]
+                    col *= 1.0 / np.sqrt(pivot)
+                    a[j + 1 :, j + 1 :] -= col[:, None] * col[None].conj()
+            return True
+
+        lower = np.tril_indices(dim)
+        for m in (1, 2, 7, 300):
+            for lowest in (0.01, -1e-3):
+                states = np.array([_rotated_states(rng, dim, 0.01) for _ in range(m)])
+                states[m // 2] = _rotated_states(rng, dim, lowest)
+                got = states.transpose(1, 2, 0).copy()
+                want = got.copy()
+                assert dynamics._cholesky_sweep(got) is full_block_reference(want) is (lowest > 0)
+                if m > 1:
+                    assert got[lower].tobytes() == want[lower].tobytes()
+                else:
+                    # numpy's loops then run along the rows, whose lengths
+                    # differ, and may round a product in another way (a
+                    # fused multiply-add); the certificate's bound covers both
+                    np.testing.assert_allclose(got[lower], want[lower], rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
     def test_herm_drift_bitwise_equal_to_both_triangle_max(self, rng, monkeypatch, dim):
         # oracle: the largest |A - A^H| entry over both triangles of every
         # state, read from the trajectory in chunks of 97 states

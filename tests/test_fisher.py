@@ -164,6 +164,52 @@ class TestOneTrajectory:
                     fisher.qfi_short_time(fid, t), rel=1e-8, abs=0.0
                 )
 
+    def test_fidelities_bitwise_equal_to_one_trace_product_per_point(self, monkeypatch):
+        samples = []
+        original = fisher._states_at
+
+        def capturing(traj, times):
+            samples.append((traj.rho0, original(traj, times)))
+            return samples[-1][1]
+
+        monkeypatch.setattr(fisher, "_states_at", capturing)
+        rng = np.random.default_rng(17)
+        for index in range(30):
+            model, psi0 = verify.random_model(rng, 2 + index % 3)
+            grid, dt = verify.FISHER_T_GRID, verify.FISHER_DT
+            reports = fisher.verify_fisher_tradeoff(model, psi0, grid, dt)
+            rho0, states = samples.pop()
+            want = [
+                min(max(float(np.real(linalg.trace_product(rho0, s))), 0.0), 1.0) for s in states
+            ]
+            got = [r.fidelity_at_t for r in reports]
+            assert all(type(f) is float for f in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_only_samples_between_stored_states_are_gated(self, rng, monkeypatch):
+        gated = []
+        original = dynamics._quality_gate
+
+        def counting(states, trace_errors, times, steps):
+            gated.append((states.shape, list(times), list(steps)))
+            return original(states, trace_errors, times, steps)
+
+        model, psi0 = verify.random_model(rng, 3)
+        traj = evolve(model, psi0, 0.1, 1e-3)
+        monkeypatch.setattr(dynamics, "_quality_gate", counting)
+        stored = dynamics._states_at(traj, traj.times[[0, 7, 100]])
+        assert gated == []
+        assert stored.tobytes() == traj.states[[0, 7, 100]].tobytes()
+        off = traj.times[[7, 50]] + 0.25 * traj.dt
+        times = np.array([traj.times[3], off[0], traj.times[20], off[1]])
+        samples = dynamics._states_at(traj, times)
+        [(shape, gated_times, steps)] = gated
+        assert shape == (2, 3, 3)
+        assert gated_times == list(off)
+        assert steps == pytest.approx([7.25, 50.25], rel=1e-12, abs=0.0)
+        assert samples[[0, 2]].tobytes() == traj.states[[3, 20]].tobytes()
+        assert samples[[1, 3]].tobytes() == dynamics._states_at(traj, off).tobytes()
+
     def test_stored_times_are_read_exactly(self, rng):
         model, psi0 = verify.random_model(rng, 3)
         traj = evolve(model, psi0, 0.1, 1e-3)

@@ -28,6 +28,9 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
   checks and builds;
 - ``dynamics.first_passage_time`` per call at one target on the
   ``PASSAGE`` trajectory, after its lazy Bures angles have been read;
+- one ``fisher_short`` item per dimension d = 2, 3, 4 (items 0, 1, 2 of
+  seed 0), run as the workload runs it: ``LindbladModel`` and one
+  ``fisher.verify_fisher_tradeoff`` call, timed as one call;
 - the minor page faults of all of the above, one count per worker.
 
 Without ``--parent`` only the current checkout runs. The output file holds
@@ -51,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -62,6 +66,7 @@ import workloads  # noqa: E402
 # (dimension, step counts) of the layer grid.
 GRID = (
     *((d, (100, 1000, 12_000)) for d in (2, 3, 4, 5, 6, 8)),
+    *((d, (1000, 12_000)) for d in (9, 10, 11)),
     *((d, (100, 1000)) for d in (12, 16, 20, 24)),
     *((d, (1000,)) for d in (28, 32)),
 )
@@ -168,12 +173,25 @@ def _time_passage(out: dict, np, dynamics, verify) -> None:
     )
 
 
+def _time_fisher(out: dict, dynamics, fisher) -> None:
+    fisher_short = workloads.FisherShort()
+    oq = types.SimpleNamespace(dynamics=dynamics, fisher=fisher)
+    for index in range(3):
+        inp = fisher_short.inputs(0, index, None)
+        _time_ms(
+            out,
+            "layers",
+            f"verify_fisher_tradeoff d={inp.dim}",
+            lambda: fisher_short.run(oq, inp),
+        )
+
+
 def worker(checkout: str) -> dict:
     """Timings of one checkout, in this process."""
     src = os.path.join(os.path.abspath(checkout), "src")
     sys.path.insert(0, src)
     import numpy as np
-    from openqsl import cli, config, dynamics, linalg, models, verify
+    from openqsl import cli, config, dynamics, fisher, linalg, models, verify
 
     groups = (
         "layers",
@@ -208,6 +226,7 @@ def worker(checkout: str) -> dict:
             out, "layers", f"lindblad_rhs product n={n}", lambda: dynamics.lindblad_rhs(model, rho0)
         )
     _time_passage(out, np, dynamics, verify)
+    _time_fisher(out, dynamics, fisher)
     for name in SUITES:
         t = time.perf_counter()
         getattr(verify, name)()
