@@ -7,11 +7,11 @@ writes it to ``--output``, [output] path or ``<command>.<format>``
 (``trajectory.<format>`` for ``evolve``) through ``_write_text``, the one
 place in the package that opens a file for writing, and then, if that is
 a regular file other than stdout's, a ``<path>.meta.json`` sidecar
-echoing the configuration, seed, step size, the decay constant of the
-damping model (checked against the integrator by ``tests/test_models.py``),
-and the library version. ``/dev/stdout``, a FIFO or ``os.devnull`` gets no
-sidecar, nor does stdout's own file, which is written through stdout so
-that ``--output /dev/stdout >> log`` appends. Numeric fields are
+echoing the configuration, seed, step taken (null if none), the decay
+constant of the damping model (checked against the integrator by
+``tests/test_models.py``), and the library version. ``/dev/stdout``, a
+FIFO or ``os.devnull`` gets no sidecar, nor does stdout's own file, which
+is written through stdout so that ``--output /dev/stdout >> log`` appends. Numeric fields are
 serialized with 17 significant digits, so identical inputs give
 byte-identical files. ``--seed`` takes a nonnegative integer, as numpy's
 generators do; a negative one is a usage error, so ``verify`` stops
@@ -229,7 +229,7 @@ def cmd_qsl(cfg: ExperimentConfig, args) -> int:
             bound, lower, status = None, None, "frozen_dynamics"
         rows.append([value, delta_h0, g_term, e_term, v_coeff, bound, lower, status])
     header = ["sweep_value", "delta_h0", "g_term", "e_term", "v_coeff", "t_qsl", "t_lower", "status"]
-    return _emit(args, cfg, "qsl", _table(args.format, header, rows), cfg.dt)
+    return _emit(args, cfg, "qsl", _table(args.format, header, rows), None)
 
 
 def cmd_fig1a(cfg: ExperimentConfig, args) -> int:

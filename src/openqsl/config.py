@@ -163,10 +163,11 @@ def _parse_complex_array(raw, where: str, expect_vector: bool = False) -> np.nda
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: entries must be numeric [re, im] pairs ({exc})")
-    # numpy reads true and false as 1 and 0. An array that converts to floats
-    # is rectangular, so its object form holds the parsed entries one by one.
-    if any(isinstance(x, bool) for x in np.asarray(raw, dtype=object).flat):
-        raise ConfigError(f"{where}: entries must be numeric [re, im] pairs, not true or false")
+    # numpy reads true and false as 1 and 0, and a string as its text. An
+    # array that converts to floats is rectangular, so its object form holds
+    # the parsed entries one by one.
+    if any(isinstance(x, (bool, str)) for x in np.asarray(raw, dtype=object).flat):
+        raise ConfigError(f"{where}: entries must be numeric [re, im] pairs, not booleans or text")
     if not np.isfinite(arr).all():
         raise ConfigError(f"{where}: entries must be finite")
     if arr.ndim < 2 or arr.shape[-1] != 2:
@@ -191,24 +192,26 @@ def _parse_number(text: str, where: str) -> float:
 
 
 def _parse_values(text: str, where: str) -> list:
-    """JSON array, or a comma-separated list of numbers."""
+    """JSON array of numbers, or a comma-separated list of numbers."""
     text = text.strip()
     if text.startswith("["):
         try:
             values = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{where}: invalid JSON array ({exc})")
+        # float() reads true and false as 1 and 0, and a string as its text.
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{where}: sweep value {v!r} is not a number")
     else:
         values = [part.strip() for part in text.split(",") if part.strip()]
-    if not isinstance(values, list) or not values:
+    if not values:
         raise ConfigError(f"{where}: sweep values must be a nonempty list")
     out = []
     for v in values:
         try:
-            if isinstance(v, bool):  # float() reads JSON true and false as 1 and 0
-                raise TypeError
             fv = float(v)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):
             raise ConfigError(f"{where}: sweep value {v!r} is not a number")
         if not math.isfinite(fv):
             raise ConfigError(f"{where}: sweep value {v!r} is not finite")

@@ -3,23 +3,23 @@
 The model caches K = sum_k L_k^dag L_k / 2 and the pairs (L_k, L_k^dag),
 from which ``_dissipate`` alone writes the summed dissipator or its
 adjoint; ``lindblad_rhs`` takes 4 + 2k matrix products for k jump
-operators, 2 for a closed model.
+operators, 2 for a closed model. ``liouvillian_matrix`` writes the same
+generator as a dense d^2 x d^2 matrix A from the same K.
 
-The generator A is time independent, so the classical RK4 step of size h
-applied to the linear master equation equals the degree-4 Taylor
-polynomial P(h) = sum_k (hA)^k / k! of the step propagator. For small
-dimensions the integrator builds P once as a dense d^2 x d^2
-superoperator and fills a trajectory of n steps by repeated squaring, in
-O(log n + n/b) products of up to b states each (``_propagate``).
-
-All other steps, of any size tau, are taken from the Taylor terms
+A is time independent, so the classical RK4 step of size tau applied to
+the linear master equation equals the degree-4 Taylor polynomial
+sum_k (tau A)^k / k!. Every step is taken from the Taylor terms
 T_k = A^k v / k! (k = 0..4) of the state v it starts from, as
 sum_k tau^k T_k: ``_taylor_terms`` builds them for a stack of states with
 four generator applications, and ``_partial_steps`` evaluates the sum in
-Horner form. The steps of a trajectory above SUPEROP_DIM_LIMIT, the states
-sampled between grid points, and the first-passage bisection, which reads
-only the overlaps of the terms with the initial state, all go this way.
-It is the same polynomial with the same truncation error as P.
+Horner form. For small dimensions the integrator takes the step map P of
+size h as the Taylor step of the d^2 basis states, so it is the same
+polynomial by construction, and fills a trajectory of n steps by repeated
+squaring, in O(log n + n/b) products of up to b states each
+(``_propagate``). The steps of a trajectory above SUPEROP_DIM_LIMIT, the
+states sampled between grid points, and the first-passage bisection, which
+reads only the overlaps of the terms with the initial state, take the
+Taylor step of their own states.
 """
 
 from __future__ import annotations
@@ -169,16 +169,19 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Dense d^2 x d^2 superoperator acting on row-major vectorized states.
 
-    Uses vec(A rho B) = (A kron B^T) vec(rho) for C-ordered flattening.
-    Above d = 64 raises ``ResourceLimitError`` (``KRON_DIM_CAP``) before allocating.
+    Uses vec(A rho B) = (A kron B^T) vec(rho) for C-ordered flattening on
+    the terms of ``lindblad_rhs``, from the model's cached K:
+    (-iH - K) rho + rho (iH - K) + sum L rho L^dag, 2 + k Kronecker
+    products for k jump operators. Above d = 64 raises
+    ``ResourceLimitError`` (``KRON_DIM_CAP``) before allocating.
     """
     h = model.hamiltonian
+    k, pairs = model._jumps
     eye = np.eye(model.dim, dtype=complex)
-    a = -1j * (linalg.kron(h, eye) - linalg.kron(eye, h.T))
-    for l in model.lindblad_ops:
-        ldl = l.conj().T @ l
-        a += linalg.kron(l, l.conj())
-        a -= 0.5 * (linalg.kron(ldl, eye) + linalg.kron(eye, ldl.T))
+    a = linalg.kron(-1j * h - k, eye)
+    a += linalg.kron(eye, (1j * h - k).T)
+    for l, l_dag in pairs:
+        a += linalg.kron(l, l_dag.T)
     return a
 
 
@@ -245,7 +248,8 @@ def _taylor_terms(model: LindbladModel, flat: np.ndarray) -> np.ndarray:
     result has shape (5, m, d^2). A is applied four times to the whole
     stack: as the cached Liouvillian for d <= SUPEROP_DIM_LIMIT, and by
     ``lindblad_rhs`` on each state above it, 4 + 2k products of d x d
-    matrices each for k jump operators.
+    matrices each for k jump operators. The terms of the d^2 x d^2
+    identity are (A^T)^k / k!, from which ``_propagate`` takes its step map.
     """
     d = model.dim
     terms = np.empty((5,) + flat.shape, dtype=complex)
@@ -276,18 +280,6 @@ def _partial_steps(terms: np.ndarray, taus) -> np.ndarray:
     return out
 
 
-def _rk4_propagator(a: np.ndarray, h: float) -> np.ndarray:
-    """I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 (the RK4 one-step map)."""
-    d2 = a.shape[0]
-    ha = h * a
-    prop = np.eye(d2, dtype=complex)
-    term = np.eye(d2, dtype=complex)
-    for k in (1, 2, 3, 4):
-        term = term @ ha * (1.0 / k)
-        prop = prop + term
-    return prop
-
-
 def _chunk_steps(d: int, n_steps: int) -> int:
     """Chunk length b, a power of two, of least modeled cost for n_steps
     steps: log2(b) squarings of d^6 and products of 1, 2, ..., b/2 states,
@@ -310,17 +302,18 @@ def _chunk_steps(d: int, n_steps: int) -> int:
 def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float, checked=False):
     """March n_steps of size h; returns (states, trace_errors, n_renorm).
 
-    States are rows. While ``_chunk_steps`` says it pays, the states [0, b)
-    give [b, 2b) in one product with (P^b)^T, and P^2b = (P^b)^2; then each
-    chunk of b states gives the next (b = 1 and the Taylor step above
-    SUPEROP_DIM_LIMIT). State 0, and each chunk that would pass on a span
-    over SPAN, is rescaled by its trace before it is advanced, from the
-    traces of the pass that measures the states up to it; at the end the
-    rest are measured. A measured state off by more than RENORM_THRESHOLD
-    is rescaled once; ``trace_errors`` holds the errors before any
-    rescaling and ``n_renorm`` counts those. If there are any, the march is
-    taken again ``checked``: each source chunk is measured before it is
-    advanced, so no state comes from a drifting one.
+    States are rows; P^T is the Taylor step of the identity's rows. While
+    ``_chunk_steps`` says it pays, the states [0, b) give [b, 2b) in one
+    product with (P^b)^T, and P^2b = (P^b)^2; then each chunk of b states
+    gives the next (b = 1 and the Taylor step above SUPEROP_DIM_LIMIT).
+    State 0, and each chunk that would pass on a span over SPAN, is
+    rescaled by its trace before it is advanced, from the traces of the
+    pass that measures the states up to it; at the end the rest are
+    measured. A measured state off by more than RENORM_THRESHOLD is
+    rescaled once; ``trace_errors`` holds the errors before any rescaling
+    and ``n_renorm`` counts those. If there are any, the march is taken
+    again ``checked``: each source chunk is measured before it is advanced,
+    so no state comes from a drifting one.
     """
     d = model.dim
     flat = np.empty((n_steps + 1, d * d), dtype=complex)
@@ -347,7 +340,9 @@ def _propagate(model: LindbladModel, rho0: np.ndarray, n_steps: int, h: float, c
 
     superop = d <= SUPEROP_DIM_LIMIT
     limit = _chunk_steps(d, n_steps) if superop else 1
-    step = _rk4_propagator(model.liouvillian, h).T if superop else None
+    step = (
+        _partial_steps(_taylor_terms(model, np.eye(d * d, dtype=complex)), h) if superop else None
+    )
     flat[0] = rho0.reshape(-1)
     measure(1, forced=0)
     # States [0, s) are filled; the newest chunk, [s - b, s), has spans <= span.

@@ -413,6 +413,14 @@ class TestOutputFiles:
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["dt"] == dt
 
+    def test_qsl_sidecar_records_no_step(self, tmp_path):
+        # qsl integrates nothing, like fig1a and scaling; the configured dt
+        # stays in the config echo only
+        assert run(tmp_path, "qsl", "--config", write_config(tmp_path, "[integrator]\ndt = 0.5\n")) == 0
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["dt"] is None
+        assert meta["config"]["dt"] == 0.5
+
     def test_json_numbers_keep_their_bytes(self):
         values = [0.1, -0.0, 1e300, 5e-324, math.inf, -math.inf, math.nan, np.float64(0.1), True, 3]
         assert cli._to_json({"v": values}) == (

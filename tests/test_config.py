@@ -50,6 +50,14 @@ class TestErrorsNameTheirKey:
                 "[model]\nhamiltonian = [[[1, 0]]]\nlindblad_ops = [[[[0, true]]]]\npsi0 = [[1, 0]]\n",
                 "[model] lindblad_ops[0]:",
             ),
+            # nor are JSON strings, though float() and numpy read "2.5" as 2.5
+            ("[sweep]\nname = gamma\nvalues = [\"2.5\", 1]\n", "[sweep] values:"),
+            ("[model]\nhamiltonian = [[[\"1.5\", \"0\"]]]\npsi0 = [[1, 0]]\n", "[model] hamiltonian:"),
+            ("[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[\"1\", 0]]\n", "[model] psi0:"),
+            (
+                "[model]\nhamiltonian = [[[1, 0]]]\nlindblad_ops = [[[[0, \"1\"]]]]\npsi0 = [[1, 0]]\n",
+                "[model] lindblad_ops[0]:",
+            ),
             ("[output]\nformat = xml\n", "[output] format:"),
             ("[model]\nhamiltonian = [[[1, 0]]]\n", "[model] psi0:"),
             ("[model]\nhamiltonian = [[[1, 0]]]\npsi0 = [[1, 0], [0, 0]]\n", "[model] psi0:"),

@@ -257,20 +257,52 @@ class TestLiouvillianMatrix:
         )
         rho = linalg.projector(random_state(rng, 3))
         h = 0.01
-        prop = dynamics._rk4_propagator(liouvillian_matrix(model), h)
-        via_prop = (prop @ rho.reshape(-1)).reshape(3, 3)
+        # the step map of _propagate, P^T: the Taylor step of the basis rows
+        step = dynamics._partial_steps(dynamics._taylor_terms(model, np.eye(9, dtype=complex)), h)
+        via_prop = (rho.reshape(-1) @ step).reshape(3, 3)
         via_stages = four_stage_step(model, rho, h)
         np.testing.assert_allclose(via_prop, via_stages, atol=1e-14)
 
+    def test_superoperator_step_is_the_taylor_step(self):
+        # One step of _propagate, the row v times its step map P^T, against
+        # the Taylor step of v itself: the same polynomial
+        # sum_k h^k v (A^T)^k / k!, so they differ by rounding alone. A
+        # product over n = d^2 complex terms errs by <= (n + 2) u |x| |Y|
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        # sec. 3.1 and 3.6); T_k takes k products and k scalings by the
+        # rounded 1/k, <= k (n + 4) u |v| |A^T|^k / k!, and Horner's sum adds
+        # <= 8 u sum_k h^k |T_k| (sec. 5.1). With
+        # M = sum_k (h |A^T|)^k / k!, each path errs by <= (4 n + 24) u |v| M
+        # to first order, P^T's entries by the same with |v| = I, and the
+        # product v P^T adds (n + 2) u |v| M: (9 n + 50) u |v| M in all.
+        rng = np.random.default_rng(23)
+        u = np.finfo(float).eps / 2
+        for _ in range(200):
+            dim = int(rng.integers(2, 7))
+            model, psi0 = verify.random_model(rng, dim)
+            h = float(rng.uniform(1e-4, 0.1))
+            states = dynamics._propagate(model, linalg.projector(psi0), 1, h)[0]
+            flat = states.reshape(2, -1)
+            want = dynamics._partial_steps(dynamics._taylor_terms(model, flat[:1]), h)[0]
+            ha = h * np.abs(model.liouvillian.T)
+            power, series = np.eye(dim * dim), np.eye(dim * dim)
+            for k in range(1, 5):
+                power = power @ ha / k
+                series += power
+            bound = (9 * dim**2 + 50) * u * (np.abs(flat[0]) @ series)
+            assert np.all(np.abs(flat[1] - want) <= bound)
+
     def test_bitwise_equal_to_kron_reference(self, rng):
         def kron_reference(model):
+            # the K form: (-iH - K) rho + rho (iH - K) + sum L rho L^dag
             h = model.hamiltonian
             eye = np.eye(model.dim, dtype=complex)
-            a = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+            ldl = [op.conj().T @ op for op in model.lindblad_ops] or [np.zeros_like(h)]
+            k = 0.5 * functools.reduce(np.add, ldl)
+            a = np.kron(-1j * h - k, eye)
+            a += np.kron(eye, (1j * h - k).T)
             for op in model.lindblad_ops:
-                ldl = op.conj().T @ op
                 a += np.kron(op, op.conj())
-                a -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
             return a
 
         for dim in range(2, 9):
@@ -283,26 +315,6 @@ class TestLiouvillianMatrix:
                 want = kron_reference(model)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dim", range(2, 7))
-    def test_propagator_bitwise_equal_to_dividing_form(self, rng, dim):
-        def dividing_reference(a, h):
-            ha = h * a
-            prop = np.eye(a.shape[0], dtype=complex)
-            term = np.eye(a.shape[0], dtype=complex)
-            for k in (1, 2, 3, 4):
-                term = term @ ha / k
-                prop = prop + term
-            return prop
-
-        model = LindbladModel(
-            hamiltonian=random_hermitian(rng, dim),
-            lindblad_ops=(random_complex_matrix(rng, dim),),
-        )
-        for a in (model.liouvillian, random_complex_matrix(rng, dim * dim)):
-            h = float(rng.uniform(1e-4, 0.1))
-            got = dynamics._rk4_propagator(a, h)
-            assert got.tobytes() == dividing_reference(a, h).tobytes()
 
     def test_dimension_over_kron_cap_raises_before_allocating(self):
         # d = 65 gives d^2 = 4225 > KRON_DIM_CAP: the first Kronecker factor
@@ -419,17 +431,12 @@ class TestBlockedPropagation:
         ref /= np.trace(ref, axis1=1, axis2=2)[:, None, None]
         for path in ("superoperator", "four_stage"):
             monkeypatch.undo()
-            if path == "superoperator":
-                original = dynamics._rk4_propagator
-                monkeypatch.setattr(
-                    dynamics, "_rk4_propagator", lambda a, h: (1.0 + 1e-10) * original(a, h)
-                )
-            else:
+            if path == "four_stage":
                 monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
-                original = dynamics._partial_steps
-                monkeypatch.setattr(
-                    dynamics, "_partial_steps", lambda t, taus: (1.0 + 1e-10) * original(t, taus)
-                )
+            original = dynamics._partial_steps
+            monkeypatch.setattr(
+                dynamics, "_partial_steps", lambda t, taus: (1.0 + 1e-10) * original(t, taus)
+            )
             for span in (dynamics.SPAN, 64, 16):
                 monkeypatch.setattr(dynamics, "SPAN", span)
                 states, trace_errors, n_renorm = dynamics._propagate(model, rho0, n, h)
@@ -447,17 +454,12 @@ class TestBlockedPropagation:
         # no state drifts further than 8e-13
         model, rho0 = self._model_and_start(rng, dim)
         monkeypatch.setattr(dynamics, "SPAN", 8)
-        if path == "superoperator":
-            original = dynamics._rk4_propagator
-            monkeypatch.setattr(
-                dynamics, "_rk4_propagator", lambda a, h: (1.0 + 1e-13) * original(a, h)
-            )
-        else:
+        if path == "four_stage":
             monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
-            original = dynamics._partial_steps
-            monkeypatch.setattr(
-                dynamics, "_partial_steps", lambda t, taus: (1.0 + 1e-13) * original(t, taus)
-            )
+        original = dynamics._partial_steps
+        monkeypatch.setattr(
+            dynamics, "_partial_steps", lambda t, taus: (1.0 + 1e-13) * original(t, taus)
+        )
         states, trace_errors, n_renorm = dynamics._propagate(model, rho0, 773, 1e-3)
         assert n_renorm == 0
         assert trace_errors.max() == pytest.approx(8e-13, rel=1e-2, abs=0.0)
@@ -470,17 +472,12 @@ class TestBlockedPropagation:
         # and crosses the threshold once per 501 steps
         model, rho0 = self._model_and_start(rng, 3)
         monkeypatch.setattr(dynamics, "_chunk_steps", lambda d, n: 1)
-        if path == "superoperator":
-            original = dynamics._rk4_propagator
-            monkeypatch.setattr(
-                dynamics, "_rk4_propagator", lambda a, h: (1.0 + 2e-15) * original(a, h)
-            )
-        else:
+        if path == "four_stage":
             monkeypatch.setattr(dynamics, "SUPEROP_DIM_LIMIT", 0)
-            original = dynamics._partial_steps
-            monkeypatch.setattr(
-                dynamics, "_partial_steps", lambda t, taus: (1.0 + 2e-15) * original(t, taus)
-            )
+        original = dynamics._partial_steps
+        monkeypatch.setattr(
+            dynamics, "_partial_steps", lambda t, taus: (1.0 + 2e-15) * original(t, taus)
+        )
         states, trace_errors, n_renorm = dynamics._propagate(model, rho0, 1800, 1e-3)
         assert n_renorm == 3
         assert trace_errors.max() < dynamics.RENORM_THRESHOLD + 1e-14
@@ -489,7 +486,8 @@ class TestBlockedPropagation:
 
     @pytest.mark.parametrize("dim, n", [(2, 12_000), (3, 1000), (6, 12_000), (12, 100)])
     def test_products_per_trajectory(self, rng, monkeypatch, dim, n):
-        # log2(b) doubling products, then one per chunk of b states
+        # 4 products of the d^2 basis rows build the step map, then log2(b)
+        # doubling products and one per chunk of b states
         rows = []
         original = np.matmul
 
@@ -501,10 +499,10 @@ class TestBlockedPropagation:
         monkeypatch.setattr(np, "matmul", counting)
         dynamics._propagate(model, rho0, n, 1e-3)
         b = dynamics._chunk_steps(dim, n)
-        assert len(rows) == b.bit_length() - 1 + -(-(n + 1 - b) // b)
-        assert sum(rows) == n and max(rows) <= b
+        assert len(rows) == 4 + b.bit_length() - 1 + -(-(n + 1 - b) // b)
+        assert sum(rows) == n + 4 * dim**2 and max(rows) <= max(b, dim**2)
         if dim == 2:
-            assert b == dynamics.SPAN and len(rows) == 16
+            assert b == dynamics.SPAN and len(rows) == 20
 
     def test_long_random_runs_need_no_renormalization(self):
         # the first 60 bound_dominance trajectories: no span is long enough

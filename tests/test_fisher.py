@@ -247,11 +247,15 @@ class TestOneTrajectory:
     )
     def test_failing_sample_raises_the_gate_error(self, monkeypatch, fault, message):
         # the trajectory itself takes the superoperator path and passes; only
-        # the partial step to the off-lattice time 2.7e-3 goes wrong
+        # the partial step to the off-lattice time 2.7e-3 goes wrong, not the
+        # Taylor terms of the identity rows that build the step map
         original = dynamics._taylor_terms
-        monkeypatch.setattr(
-            dynamics, "_taylor_terms", lambda model, flat: fault(original(model, flat))
-        )
+
+        def faulty(model, flat):
+            terms = original(model, flat)
+            return terms if np.array_equal(flat, np.eye(len(flat))) else fault(terms)
+
+        monkeypatch.setattr(dynamics, "_taylor_terms", faulty)
         model, psi0 = spontaneous_emission_model(1.0)
         with pytest.raises(IntegrationQualityError) as info:
             fisher.verify_fisher_tradeoff(model, psi0, (1e-3, 2.7e-3, 1e-2), self.DT)

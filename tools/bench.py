@@ -15,6 +15,10 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
   of ``GRID``, h = 1e-3, and one ``dynamics.lindblad_rhs`` call on the
   product chain of each size in ``RHS_CHAINS`` at its initial state; the
   median and the minimum of repeated calls per cell;
+- the build of the Liouvillian and the step map at each ``GRID``
+  dimension up to ``dynamics.SUPEROP_DIM_LIMIT``: a one-step
+  ``_propagate`` call on a fresh ``LindbladModel`` per call, of one random
+  model per dimension;
 - every ``verify`` suite once at its default settings, and their sum;
 - ``cli.main`` in process for ``qsl``, ``fig1a`` and ``scaling`` at their
   default config, the median of repeated calls: the sweep layer without
@@ -207,6 +211,16 @@ def worker(checkout: str) -> dict:
     out = {group: {} for group in groups}
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for d, ns in GRID:
+        if d <= dynamics.SUPEROP_DIM_LIMIT:
+            model, psi0 = verify.random_model(np.random.default_rng([d, 1]), d)
+            rho0 = linalg.projector(psi0 / np.linalg.norm(psi0))
+            h, ops = model.hamiltonian, model.lindblad_ops
+            _time_ms(
+                out,
+                "layers",
+                f"build d={d}",
+                lambda: dynamics._propagate(dynamics.LindbladModel(h, ops), rho0, 1, STEP),
+            )
         for n in ns:
             model, psi0 = verify.random_model(np.random.default_rng([d, n]), d)
             rho0 = linalg.projector(psi0 / np.linalg.norm(psi0))
