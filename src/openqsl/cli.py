@@ -56,7 +56,7 @@ from .config import (
     preset_model,
     sweep_columns,
 )
-from .dynamics import evolve, first_passage_time
+from .dynamics import evolve, first_passage_time, step_grid
 from .errors import (
     ConfigError,
     FrozenDynamicsError,
@@ -68,8 +68,7 @@ from .models import (
     EMISSION_DECAY_PER_GAMMA,
     ProductModelParams,
     exact_emission_time,
-    product_chain_quantities,
-    product_site_terms,
+    product_quantities_analytic,
     scaling_exponent,
 )
 
@@ -285,7 +284,7 @@ def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
             [target, exact_emission_time(gamma, target), t_fp, qsl.t_qsl(q, target)]
         )
     header = ["theta_target", "t_exa", "t_first_passage", "t_qsl"]
-    return _emit(args, cfg, "fig1b", _table(args.format, header, rows), dt)
+    return _emit(args, cfg, "fig1b", _table(args.format, header, rows), traj.dt)
 
 
 def cmd_scaling(cfg: ExperimentConfig, args) -> int:
@@ -297,14 +296,9 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
         [int(v) for v in cfg.sweep()] if cfg.sweep_name == "n" else [64, 128, 256, 512, 1024]
     )
 
-    # The unit-rate single-site terms depend on theta alone, so they are
-    # computed once, and scaled to each n and to the rates.
     try:
         chains = [ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta) for n in n_values]
-        site = product_site_terms(theta)
-        samples = [
-            (p.n, qsl.t_qsl(product_chain_quantities(site, p), theta_target)) for p in chains
-        ]
+        samples = [(p.n, qsl.t_qsl(product_quantities_analytic(p), theta_target)) for p in chains]
     except ValueError as exc:  # a parameter out of range, an overflow, or a frozen chain
         raise ConfigError(f"[parameters]: {exc}")
     try:
@@ -323,6 +317,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
             f"--format / [output] format: verify writes a JSON report, not {args.format}"
         )
     horizon, dt = cfg.integrator(12.0, 1e-3)
+    step = step_grid(horizon, dt)[1]  # that of bound_dominance's runs
     results = verify.run_all(
         seed=args.seed,
         n_models=int(cfg.param("n_models", 300)),
@@ -346,7 +341,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
             for r in results
         ],
     }
-    _emit(args, cfg, "verify", _to_json(report) + "\n", dt)
+    _emit(args, cfg, "verify", _to_json(report) + "\n", step)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         skipped = "".join(f", {n} skipped ({reason})" for reason, n in r.skipped.items())
@@ -365,9 +360,7 @@ def cmd_qfi(cfg: ExperimentConfig, args) -> int:
             raise ConfigError(f"[sweep] values: {exc}")
     else:
         t_grid = list(np.logspace(-3, math.log10(0.04), 9))
-    # the step the run takes: verify_fisher_tradeoff never steps past the grid
-    dt = min(cfg.dt or 1e-5, float(t_grid[-1]))
-
+    dt = cfg.dt or 1e-5
     reports = fisher.verify_fisher_tradeoff(model, psi0, t_grid, dt)
     rows = [
         [
@@ -381,7 +374,10 @@ def cmd_qfi(cfg: ExperimentConfig, args) -> int:
         for r in reports
     ]
     header = ["t", "fidelity", "qfi_estimate", "qfi_bound", "satisfied", "in_window"]
-    return _emit(args, cfg, "qfi", _table(args.format, header, rows), dt)
+    # the step of verify_fisher_tradeoff's run, which never steps past the grid
+    t_end = float(t_grid[-1])
+    step = step_grid(t_end, min(dt, t_end))[1]
+    return _emit(args, cfg, "qfi", _table(args.format, header, rows), step)
 
 
 def cmd_evolve(cfg: ExperimentConfig, args) -> int:

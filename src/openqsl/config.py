@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import LindbladModel
+from .dynamics import TRAJECTORY_BYTE_CAP, LindbladModel
 from .errors import ConfigError
 from .models import (
     EMISSION_GAMMA_RULE,
@@ -78,11 +78,18 @@ MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
 # and n >= 1) are checked by their preset when a model is built.
 _POSITIVE = ("positive", lambda v: v > 0.0)
 _COUNT = ("a nonnegative integer", lambda v: v >= 0.0 and v == int(v))
+# A fig1a run peaks at about 856 bytes per gamma point (tracemalloc, 2e5
+# points); at 1 KiB a point, this many points keep it within the byte cap
+# of a trajectory, and more are refused before anything is allocated.
+_FIG1A_MAX_POINTS = TRAJECTORY_BYTE_CAP // 1024
 _DOMAINS = {
     "theta_target": ("in (0, pi/2]", lambda v: 0.0 < v <= math.pi / 2),
     "gamma_min": _POSITIVE,
     "gamma_max": _POSITIVE,
-    "gamma_points": ("a positive integer", lambda v: v >= 1.0 and v == int(v)),
+    "gamma_points": (
+        f"an integer in [1, {_FIG1A_MAX_POINTS}]",
+        lambda v: 1.0 <= v <= _FIG1A_MAX_POINTS and v == int(v),
+    ),
     "n": ("an integer", lambda v: v == int(v)),
     "n_models": _COUNT,
     "n_fisher_models": _COUNT,

@@ -518,15 +518,28 @@ def _quality_gate(states: np.ndarray, trace_errors: np.ndarray, times, steps) ->
     return trace_drift
 
 
+def step_grid(t_end: float, dt: float) -> tuple[int, float]:
+    """The grid ``evolve`` integrates [0, t_end] on at step ~dt: n =
+    max(1, round(t_end/dt)) uniform steps of h = t_end/n, returned as (n, h),
+    so halving dt exactly halves the step. A step count t_end/dt that
+    overflows a float raises ``ResourceLimitError``."""
+    if t_end / dt == math.inf:
+        raise ResourceLimitError(
+            "trajectory of t_end / dt = inf steps is over the "
+            f"{TRAJECTORY_BYTE_CAP}-byte cap; raise dt or shorten t_end"
+        )
+    n_steps = max(1, int(round(t_end / dt)))
+    return n_steps, t_end / n_steps
+
+
 def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
     """Integrate from the pure state psi0 over [0, t_end] with step ~dt.
 
-    The grid is n = round(t_end/dt) uniform steps, so halving dt exactly
-    halves the step. Trace diagnostics are recorded at every grid point.
-    The run is rejected with ``IntegrationQualityError``, which indicates
-    the step is too coarse for the generator, when a state has a NaN or
-    infinite entry, the trace drift exceeds 1e-6, or an eigenvalue falls
-    below -1e-5. A run whose states would take more than
+    The grid is ``step_grid``'s. Trace diagnostics are recorded at every
+    grid point. The run is rejected with ``IntegrationQualityError``, which
+    indicates the step is too coarse for the generator, when a state has a
+    NaN or infinite entry, the trace drift exceeds 1e-6, or an eigenvalue
+    falls below -1e-5. A run whose states would take more than
     ``TRAJECTORY_BYTE_CAP`` bytes, or whose step count t_end/dt overflows a
     float, raises ``ResourceLimitError`` before anything is integrated.
     Positivity is certified by a Cholesky factorization of every state
@@ -547,13 +560,7 @@ def evolve(model: LindbladModel, psi0, t_end: float, dt: float) -> Trajectory:
         raise ValueError("dt must not exceed t_end")
 
     rho0 = linalg.projector(psi0)
-    if t_end / dt == math.inf:
-        raise ResourceLimitError(
-            f"trajectory of t_end / dt = inf steps at d = {model.dim} is over the "
-            f"{TRAJECTORY_BYTE_CAP}-byte cap; raise dt or shorten t_end"
-        )
-    n_steps = max(1, int(round(t_end / dt)))
-    h = t_end / n_steps
+    n_steps, h = step_grid(t_end, dt)
     n_bytes = (n_steps + 1) * model.dim**2 * np.dtype(complex).itemsize
     if n_bytes > TRAJECTORY_BYTE_CAP:
         raise ResourceLimitError(

@@ -1,5 +1,15 @@
 """Reference models: driven dephasing qubit, amplitude damping, and the
-locally-dephased N-qubit product chain with an O(N) analytic fast path.
+locally-dephased N-qubit product chain, H = sum_i (omega/2) sigma_z^(i),
+L_i = sqrt(gamma) sigma_x^(i), from n Bloch states of polar angle theta.
+
+The chain's speed-limit scalars have a closed form in theta and n
+(``product_quantities_analytic``): delta_h0 = omega (sin(theta)/2) sqrt(n),
+e_term = gamma n cos^2(theta) and g_term = gamma |cos(theta)|
+sqrt(n (2 + (n - 1) cos^2(theta))). With <sigma_x> = sin(theta), the
+single-site deformation D = sigma_x rho1 sigma_x - rho1 has Tr(D^2) =
+2 - 2 <sigma_x>^2 = 2 cos^2(theta) and Tr(rho1 D) = <sigma_x>^2 - 1 =
+-cos^2(theta). ``product_model_dense`` builds the same chain as a dense
+2^n-dimensional model, up to PRODUCT_DENSE_MAX_QUBITS sites.
 """
 
 from __future__ import annotations
@@ -10,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg
-from .dynamics import LindbladModel, adjoint_dissipator
+from .dynamics import LindbladModel
 from .errors import ResourceLimitError
 from .qsl import QslQuantities
 
@@ -141,66 +151,41 @@ def product_model_dense(p: ProductModelParams) -> tuple[LindbladModel, np.ndarra
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), psi0
 
 
-def product_site_terms(theta: float) -> tuple:
-    """The single-site terms of the chain at unit rates (omega = gamma = 1),
-    which depend on theta alone: (var(H_1), var(L_1), Tr(D^2), Tr(rho1 D))."""
-    psi1 = bloch_state(theta)
-    dev = (0.5 * SIGMA_Z) @ psi1
-    dev -= np.real(np.vdot(psi1, dev)) * psi1
-    var_h1 = float(np.real(np.vdot(dev, dev)))
+def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
+    """Speed-limit scalars of the product chain in closed form, O(1) for any n:
 
-    dev = SIGMA_X @ psi1
-    dev -= np.vdot(psi1, dev) * psi1
-    var_l1 = float(np.real(np.vdot(dev, dev)))
+        delta_h0 = omega (sin(theta)/2) sqrt(n),
+        e_term   = gamma n cos^2(theta),
+        g_term   = gamma |cos(theta)| sqrt(n (2 + (n - 1) cos^2(theta))).
 
-    rho1 = linalg.projector(psi1)
-    deformation = adjoint_dissipator(SIGMA_X, rho1)
-    self_overlap = float(np.real(linalg.trace_product(deformation, deformation)))
-    cross_overlap = float(np.real(linalg.trace_product(rho1, deformation)))
-    return var_h1, var_l1, self_overlap, cross_overlap
+    Each site holds the Bloch state of polar angle theta, with <sigma_z> =
+    cos(theta) and <sigma_x> = sin(theta), so var(sigma_z / 2) =
+    sin^2(theta)/4 and var(sigma_x) = cos^2(theta), both additive over
+    sites. Its deformation D = sigma_x rho1 sigma_x - rho1 has Tr(D^2) =
+    2 - 2 Tr(rho1 sigma_x rho1 sigma_x) = 2 - 2 <sigma_x>^2 = 2 cos^2(theta)
+    and Tr(rho1 D) = <sigma_x>^2 - 1 = -cos^2(theta). For a product state
+    Tr(D_i D_j) = Tr(rho1 D)^2 for sites i != j, so g^2 = n Tr(D^2) +
+    n(n-1) Tr(rho1 D)^2. Agreement with the dense construction is
+    unit-tested for n <= 8.
 
-
-def product_chain_quantities(site: tuple, p: ProductModelParams) -> QslQuantities:
-    """Speed-limit scalars of ``p``'s chain from the ``product_site_terms``
-    of p.theta: the n-site terms at unit rates, then delta_h0 times omega
-    and g_term and e_term times gamma, as ``config.sweep_columns`` scales a
-    unit-rate model; without dephasing (gamma = 0) g_term and e_term are 0.
-    Raises ValueError naming n if a term overflows a float."""
-    var_h1, var_l1, self_overlap, cross_overlap = site
+    No rate is squared, so any finite omega and gamma give finite terms;
+    without dephasing (gamma = 0) g_term and e_term are 0 and not formed.
+    Raises ValueError naming n if a term overflows a float.
+    """
     n = p.n
     g_term = e_term = 0.0
     try:
-        delta_h0 = p.omega * math.sqrt(n * var_h1)
+        delta_h0 = p.omega * (0.5 * math.sin(p.theta) * math.sqrt(n))
         if p.gamma != 0.0:
-            e_term = p.gamma * (n * var_l1)
-            g_sq = n * self_overlap + n * (n - 1) * cross_overlap**2
-            g_term = p.gamma * math.sqrt(max(g_sq, 0.0))
-    except OverflowError:  # n or n(n-1) past the float range, or a square
+            cos = math.cos(p.theta)
+            cos_sq = cos * cos
+            e_term = p.gamma * (n * cos_sq)
+            g_term = p.gamma * (abs(cos) * math.sqrt(n * (2.0 + (n - 1) * cos_sq)))
+    except OverflowError:  # n past the float range
         delta_h0 = math.inf
     if not all(map(math.isfinite, (delta_h0, g_term, e_term))):
         raise ValueError(f"the speed-limit terms of the chain of n = {n} sites overflow a float")
     return QslQuantities.from_terms(delta_h0, g_term, e_term)
-
-
-def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
-    """Speed-limit scalars of the product chain in O(1) time for any n.
-
-    For a product state the cross terms of the summed adjoint dissipator
-    factorize over sites: with D_i the single-site deformation,
-    Tr(D_i D_j) = Tr(rho1 D)^2 for i != j, so
-
-        g^2 = n Tr(D^2) + n(n-1) Tr(rho1 D)^2,
-
-    while energy variance and jump-operator variance are additive over
-    sites. Agreement with the dense construction is unit-tested for n <= 6.
-
-    The single-site terms come from ``product_site_terms`` at unit rates and
-    depend on theta alone; ``product_chain_quantities`` scales them to n
-    sites and to the rates. A sweep over n, as the ``scaling`` command runs,
-    computes them once and scales them per n with the same arithmetic as
-    this function.
-    """
-    return product_chain_quantities(product_site_terms(p.theta), p)
 
 
 def scaling_exponent(samples) -> float:

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,10 @@ from openqsl import cli, config, dynamics, qsl, verify
 from openqsl.config import ExperimentConfig, build_model, load_config
 from openqsl.errors import FrozenDynamicsError
 from openqsl.verify import PropertyResult
+
+
+# The last time of qfi's default grid.
+QFI_T_END = float(np.logspace(-3, math.log10(0.04), 9)[-1])
 
 
 def write_config(tmp_path, text: str) -> str:
@@ -165,6 +170,13 @@ class TestExitCodes:
             ("fig1a", "[parameters]\ngamma_points = 2.7", "[parameters] gamma_points:"),
             ("fig1a", "[parameters]\ngamma_points = 0", "[parameters] gamma_points:"),
             ("fig1a", "[parameters]\ngamma_points = -3", "[parameters] gamma_points:"),
+            # a grid whose run would take more than the trajectory byte cap
+            ("fig1a", "[parameters]\ngamma_points = 1e13", "[parameters] gamma_points:"),
+            (
+                "fig1a",
+                f"[parameters]\ngamma_points = {config._FIG1A_MAX_POINTS + 1}",
+                "[parameters] gamma_points:",
+            ),
             ("fig1a", "[parameters]\ngamma_min = 0", "[parameters] gamma_min:"),
             ("fig1a", "[parameters]\ngamma_max = -1", "[parameters] gamma_max:"),
             ("fig1b", "[parameters]\ngamma = 0", "[parameters]: gamma must be positive"),
@@ -210,9 +222,18 @@ class TestExitCodes:
         ],
     )
     def test_input_outside_its_domain_exits_one(self, tmp_path, capsys, command, text, where):
-        assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 1
+        path = write_config(tmp_path, text + "\n")
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, command, "--config", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {where}")
         assert not (tmp_path / "out.csv").exists()
+        # refused before the run allocates its arrays
+        assert peak < 2**20
 
     def test_trajectory_over_memory_budget_exits_one(self, tmp_path, capsys, monkeypatch):
         # the default evolve run stores 5001 states of d = 2
@@ -398,18 +419,32 @@ class TestOutputFiles:
         assert (tmp_path / "link.csv").read_text().startswith("sweep_value,")
 
     @pytest.mark.parametrize(
-        "text, dt",
+        "command, text, dt",
         [
-            ("", 1e-05),
+            # qfi integrates to its last grid time, at most its step
+            ("qfi", "", QFI_T_END / 4000),
             # the run steps once, at the last grid time
-            ("[integrator]\ndt = 1\n", float(np.logspace(-3, math.log10(0.04), 9)[-1])),
-            ("[integrator]\ndt = 1\n[sweep]\nname = t\nvalues = 0.001, 0.003\n", 0.003),
+            ("qfi", "[integrator]\ndt = 1\n", QFI_T_END),
+            ("qfi", "[integrator]\ndt = 1\n[sweep]\nname = t\nvalues = 0.001, 0.003\n", 0.003),
+            # round(t_end / dt) steps of t_end / round(t_end / dt)
+            ("qfi", "[integrator]\ndt = 3e-4\n", QFI_T_END / 133),
+            ("qfi", "[integrator]\ndt = 3e-5\n", QFI_T_END / 1333),
+            ("fig1b", "[integrator]\ndt = 3e-4\n", 10 / 33333),
+            ("fig1b", "[integrator]\ndt = 3e-5\nhorizon = 1\n", 1 / 33333),
         ],
-        ids=["default", "dt-past-grid", "dt-past-swept-grid"],
+        ids=[
+            "default",
+            "dt-past-grid",
+            "dt-past-swept-grid",
+            "qfi-dt-3e-4",
+            "qfi-dt-3e-5",
+            "fig1b-dt-3e-4",
+            "fig1b-dt-3e-5",
+        ],
     )
-    def test_qfi_sidecar_records_the_step_taken(self, tmp_path, text, dt):
+    def test_qfi_sidecar_records_the_step_taken(self, tmp_path, command, text, dt):
         argv = ["--config", write_config(tmp_path, text)] if text else []
-        assert run(tmp_path, "qfi", *argv) == 0
+        assert run(tmp_path, command, *argv) == 0
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["dt"] == dt
 

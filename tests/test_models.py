@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from openqsl import cli, models
+from openqsl import cli
 from openqsl.dynamics import evolve
 from openqsl.models import (
     EMISSION_DECAY_PER_GAMMA,
     ProductModelParams,
-    product_chain_quantities,
     product_model_dense,
     product_quantities_analytic,
-    product_site_terms,
     spontaneous_emission_model,
 )
 from openqsl.qsl import compute_quantities
@@ -20,9 +18,9 @@ FIELDS = ("delta_h0", "g_term", "e_term", "v_coeff", "ratio_r")
 
 
 class TestProductChain:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_analytic_matches_dense(self, n):
-        for theta in (0.3, math.pi / 4, 1.2, math.pi / 2, 2.5):
+        for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2, 2.5, math.pi):
             for gamma in (0.0, 0.37, 2.0):
                 p = ProductModelParams(n=n, omega=1.3, gamma=gamma, theta=theta)
                 analytic = product_quantities_analytic(p)
@@ -43,6 +41,18 @@ class TestProductChain:
                     else:
                         assert got == pytest.approx(want, rel=1e-12, abs=0.0), field
 
+    def test_aligned_chain_is_exact_for_any_n(self):
+        # at theta = 0, sin 0 = 0 and cos 0 = 1 exactly, so the closed form
+        # is exact arithmetic on integers below 2^53: delta_h0 = 0, e = gamma n
+        # and g = gamma sqrt(n(n + 1)), far past the reach of the dense model
+        for gamma in (0.37, 2.0, 10.0):
+            for n in (1, 2, 3, 12, 13, 1000, 2**20):
+                p = ProductModelParams(n=n, omega=1.3, gamma=gamma, theta=0.0)
+                q = product_quantities_analytic(p)
+                assert q.delta_h0 == 0.0
+                assert q.e_term == gamma * n
+                assert q.g_term == gamma * math.sqrt(n * (n + 1))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_closed_chain_spread_grows_as_sqrt_n(self, n):
         # without dephasing only the energy spread survives, and it adds in
@@ -56,34 +66,9 @@ class TestProductChain:
 
 
 class TestProductSplit:
-    # scaling's default n sweep and parameters
-    N_VALUES = (64, 128, 256, 512, 1024)
-
-    @pytest.mark.parametrize("gamma", [10.0, 0.0])
-    def test_site_terms_once_give_the_analytic_bits(self, gamma):
-        site = product_site_terms(math.pi / 4)
-        for n in (1, *self.N_VALUES):
-            p = ProductModelParams(n=n, omega=0.1, gamma=gamma, theta=math.pi / 4)
-            # repr tells every float bit apart, -0.0 from 0.0 included
-            assert repr(product_chain_quantities(site, p)) == repr(product_quantities_analytic(p))
-
-    def test_scaling_computes_the_site_terms_once(self, tmp_path, monkeypatch):
-        calls, original = [], models.adjoint_dissipator
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(models, "adjoint_dissipator", counted)
-        config = tmp_path / "scaling.ini"
-        config.write_text("[sweep]\nname = n\nvalues = 16, 32, 64, 128, 256\n", encoding="utf-8")
-        argv = ["scaling", "--config", str(config), "--output", str(tmp_path / "out.csv")]
-        assert cli.main(argv) == 0
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("rate", ["omega = 1e200", "gamma = 1e200"])
     def test_scaling_at_large_rates_is_finite(self, tmp_path, rate):
-        # the site terms are formed at unit rates, so no rate is squared
+        # the closed form multiplies by each rate once and squares none
         config = tmp_path / "scaling.ini"
         config.write_text(f"[parameters]\n{rate}\n", encoding="utf-8")
         out = tmp_path / "out.csv"

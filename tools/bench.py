@@ -12,9 +12,11 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
 
 - ``dynamics._propagate`` and ``dynamics._certified`` (the quality gate's
   per-state certificate) on one random model per dimension and step count
-  of ``GRID``, h = 1e-3, and one ``dynamics.lindblad_rhs`` call on the
-  product chain of each size in ``RHS_CHAINS`` at its initial state; the
-  median and the minimum of repeated calls per cell;
+  of ``GRID``, h = 1e-3, in rounds 1, 3, 5, ... in ``GRID``'s order and
+  in rounds 2, 4, ... in reverse, as a cell at a large dimension can read
+  differently after different cells; and one ``dynamics.lindblad_rhs``
+  call on the product chain of each size in ``RHS_CHAINS`` at its initial
+  state; the median and the minimum of repeated calls per cell;
 - the build of the Liouvillian and the step map at each ``GRID``
   dimension up to ``dynamics.SUPEROP_DIM_LIMIT``: a one-step
   ``_propagate`` call on a fresh ``LindbladModel`` per call, of one random
@@ -38,10 +40,11 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
 - the minor page faults of all of the above, one count per worker.
 
 Without ``--parent`` only the current checkout runs. The output file holds
-every round's numbers, the median and the minimum of the rounds per side,
-in how many rounds the change was faster, the ``src/`` line count of each
-checkout, whether its ``src/`` differs from its commit (and a hash of the
-difference), and the machine record of ``perfbench/environment.py``.
+every round's numbers and order (which side ran first, and the ``GRID``
+cells in the order timed), the median and the minimum of the rounds per
+side, in how many rounds the change was faster, the ``src/`` line count
+of each checkout, whether its ``src/`` differs from its commit (and a hash
+of the difference), and the machine record of ``perfbench/environment.py``.
 """
 
 from __future__ import annotations
@@ -190,8 +193,9 @@ def _time_fisher(out: dict, dynamics, fisher) -> None:
         )
 
 
-def worker(checkout: str) -> dict:
-    """Timings of one checkout, in this process."""
+def worker(checkout: str, grid=GRID) -> dict:
+    """Timings of one checkout, in this process, over the cells of ``grid``
+    in its order."""
     src = os.path.join(os.path.abspath(checkout), "src")
     sys.path.insert(0, src)
     import numpy as np
@@ -210,7 +214,7 @@ def worker(checkout: str) -> dict:
     )
     out = {group: {} for group in groups}
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for d, ns in GRID:
+    for d, ns in grid:
         if d <= dynamics.SUPEROP_DIM_LIMIT:
             model, psi0 = verify.random_model(np.random.default_rng([d, 1]), d)
             rho0 = linalg.projector(psi0 / np.linalg.norm(psi0))
@@ -278,8 +282,15 @@ def _src_changes(checkout: str) -> dict:
     return {"src_dirty": True, "src_diff_sha256": digest.hexdigest()}
 
 
-def _run_worker(checkout: str) -> dict:
+def _grid(reverse: bool) -> tuple:
+    """``GRID``, or its cells in reverse order: dimensions and each one's
+    step counts."""
+    return tuple((d, ns[::-1]) for d, ns in GRID[::-1]) if reverse else GRID
+
+
+def _run_worker(checkout: str, reverse: bool) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", checkout]
+    cmd += ["--reverse-grid"] if reverse else []
     proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -322,20 +333,24 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--out", default="BENCH.json")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--reverse-grid", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:
-        print(json.dumps(worker(args.worker)))
+        print(json.dumps(worker(args.worker, _grid(args.reverse_grid))))
         return 0
 
     sides = {"change": ROOT}
     if args.parent:
         sides["parent"] = os.path.abspath(args.parent)
     runs = {side: [] for side in sides}
+    orders = []
     for r in range(args.rounds):
-        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+        reverse = r % 2 == 1
+        order = list(sides)[::-1] if reverse else list(sides)
+        orders.append({"sides": order, "grid": _grid(reverse)})
         for side in order:
-            result = _run_worker(sides[side])
+            result = _run_worker(sides[side], reverse)
             result["cli_s"] = _cli_seconds(sides[side])
             runs[side].append(result)
             print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
@@ -352,6 +367,7 @@ def main(argv=None) -> int:
         },
         "step": STEP,
         "rounds": args.rounds,
+        "round_orders": orders,
         "units": {
             "layers": "ms, median of repeated calls",
             "layers_min": "ms, minimum of the same calls",
