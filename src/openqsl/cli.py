@@ -13,7 +13,11 @@ constant of the damping model (checked against the integrator by
 FIFO or ``os.devnull`` gets no sidecar, nor does stdout's own file, which
 is written through stdout so that ``--output /dev/stdout >> log`` appends. Numeric fields are
 serialized with 17 significant digits, so identical inputs give
-byte-identical files. ``--seed`` takes a nonnegative integer, as numpy's
+byte-identical files. ``_fmt`` is the rule for a CSV cell: a float as
+``%.17g``, an integer in full, a bool as true/false, None as empty. A CSV
+row is written by one ``%``-format call on a template of its cell types
+that spells each cell as ``_fmt`` does, and a cell of a type the template
+has no conversion for (a bool, None) is spelled by ``_fmt`` first. ``--seed`` takes a nonnegative integer, as numpy's
 generators do; a negative one is a usage error, so ``verify`` stops
 before any suite runs.
 
@@ -37,11 +41,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -101,6 +105,11 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# The %-conversion that spells a CSV cell of each type as _fmt does; a cell
+# of any other type goes through _fmt and is then written by "%s".
+_CELL_SPECS = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d", str: "%s"}
+
+
 def _to_json(obj, indent: int = 0) -> str:
     if type(obj) is float and math.isfinite(obj):
         return format(obj, ".17g")
@@ -109,29 +118,54 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}" for k, v in obj.items()]
+        parts = [
+            f"{inner}{encode_basestring_ascii(str(k))}: {_to_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        sep = ",\n" + inner
+        # a finite sum means no inf or nan; an overflowing one falls through
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            items = sep.join(map("%.17g".__mod__, obj))
+        else:
+            items = sep.join([_to_json(v, indent + 1) for v in obj])
+        return "[\n" + inner + items + "\n" + pad + "]"
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return '"%s"' % repr(float(obj))
     return _fmt(obj)
 
 
 def _table(fmt: str, header: list, rows: list) -> str:
-    """The rows under ``header`` as CSV, or as JSON records."""
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(map(_fmt, row)) for row in rows]
-        return "\n".join(lines) + "\n"
-    return _to_json([dict(zip(header, row)) for row in rows]) + "\n"
+    """The rows under ``header`` as CSV, or as JSON records. A CSV row is
+    one %-format call on the template of its cell types, built once per
+    call from ``_CELL_SPECS``."""
+    if fmt != "csv":
+        return _to_json([dict(zip(header, row)) for row in rows]) + "\n"
+    templates = {}
+    lines = [",".join(header)]
+    for row in rows:
+        types = tuple(map(type, row))
+        entry = templates.get(types)
+        if entry is None:
+            specs = [_CELL_SPECS.get(t) for t in types]
+            entry = templates[types] = (
+                ",".join(spec or "%s" for spec in specs),
+                [k for k, spec in enumerate(specs) if spec is None],
+            )
+        template, spelled = entry
+        if spelled:
+            row = list(row)
+            for k in spelled:
+                row[k] = _fmt(row[k])
+        lines.append(template % tuple(row))
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args, cfg: ExperimentConfig, stem: str, text: str, dt) -> int:
@@ -299,6 +333,9 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
     try:
         chains = [ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta) for n in n_values]
         samples = [(p.n, qsl.t_qsl(product_quantities_analytic(p), theta_target)) for p in chains]
+        for n, t in samples:
+            if t == math.inf:  # 2s/v past the float range, as for a subnormal omega
+                raise ValueError(f"the time bound of the chain of n = {n} sites overflows a float")
     except ValueError as exc:  # a parameter out of range, an overflow, or a frozen chain
         raise ConfigError(f"[parameters]: {exc}")
     try:
@@ -383,10 +420,8 @@ def cmd_qfi(cfg: ExperimentConfig, args) -> int:
 def cmd_evolve(cfg: ExperimentConfig, args) -> int:
     model, psi0 = build_model(cfg)
     traj = evolve(model, psi0, *cfg.integrator(5.0, 1e-3))
-    rows = [
-        [traj.times[k], traj.bures_angles[k], traj.trace_errors[k], traj.min_eigs[k]]
-        for k in range(len(traj.times))
-    ]
+    columns = (traj.times, traj.bures_angles, traj.trace_errors, traj.min_eigs)
+    rows = list(zip(*(column.tolist() for column in columns)))
     header = ["t", "theta", "trace_drift", "min_eig"]
     return _emit(args, cfg, "trajectory", _table(args.format, header, rows), traj.dt)
 

@@ -189,15 +189,27 @@ def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
 
 
 def scaling_exponent(samples) -> float:
-    """Least-squares slope of log(t) against log(n) over (n, t) pairs."""
+    """Least-squares slope of log(t) against log(n) over (n, t) pairs, in
+    closed form over centered sums: with x = log(n) and y = log(t),
+
+        k = sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
+
+    Raises ValueError for fewer than 3 samples, an n that is not positive
+    and finite or repeats, or a t that is not positive and finite (naming
+    its n).
+    """
     pairs = [(float(n), float(t)) for n, t in samples]
     if len(pairs) < 3:
         raise ValueError("need at least 3 samples")
     ns = [n for n, _ in pairs]
-    if any(n <= 0.0 for n in ns) or len(set(ns)) != len(ns):
-        raise ValueError("n values must be positive and distinct")
-    if any(t <= 0.0 for _, t in pairs):
-        raise ValueError("t values must be positive")
-    log_n = np.log([n for n, _ in pairs])
-    log_t = np.log([t for _, t in pairs])
-    return float(np.polyfit(log_n, log_t, 1)[0])
+    if not all(0.0 < n < math.inf for n in ns) or len(set(ns)) != len(ns):
+        raise ValueError("n values must be positive, finite and distinct")
+    for n, t in pairs:
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"t values must be positive and finite; t = {t!r} at n = {n:.17g}")
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(t) for _, t in pairs]
+    x_mean = sum(xs) / len(xs)
+    y_mean = sum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    return sum(u * (y - y_mean) for u, y in zip(dx, ys)) / sum(u * u for u in dx)

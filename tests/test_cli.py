@@ -161,6 +161,12 @@ class TestExitCodes:
                 "[sweep]\nname = n\nvalues = 16, 32, 64, 1e200",
                 "[parameters]: the speed-limit terms of the chain of n = 9999",
             ),
+            # finite terms, but 2s/v overflows at a subnormal drive
+            (
+                "scaling",
+                "[parameters]\nomega = 1e-310\ngamma = 0",
+                "[parameters]: the time bound of the chain of n = 64 sites overflows a float",
+            ),
             # a frozen chain: |0> is an eigenstate of the drive, and no dephasing
             (
                 "scaling",
@@ -474,6 +480,83 @@ class TestOutputFiles:
         assert cli._table("csv", ["a", "b", "c"], [values[:3], values[3:] + [1.5]]) == (
             "a,b,c\nnan,inf,-inf\ntrue,false,1.5\n"
         )
+
+
+def element_table(header, rows) -> str:
+    """The CSV that spells every cell with ``cli._fmt``, one cell at a time."""
+    return "\n".join([",".join(header)] + [",".join(map(cli._fmt, row)) for row in rows]) + "\n"
+
+
+def element_list(values, indent=0) -> str:
+    """The JSON that ``cli._to_json`` writes for ``values`` one element at a time."""
+    inner = "  " * (indent + 1)
+    parts = [inner + cli._to_json(v, indent + 1) for v in values]
+    return "[\n" + ",\n".join(parts) + "\n" + "  " * indent + "]"
+
+
+class TestRowTemplates:
+    CELLS = [
+        0.1,
+        math.inf,
+        -math.inf,
+        math.nan,
+        -0.0,
+        5e-324,
+        1e300,
+        np.float64(0.1),
+        np.float64(-math.inf),
+        np.float32(0.1),
+        2**70,
+        -3,
+        np.int64(-7),
+        np.int32(5),
+        True,
+        False,
+        np.bool_(True),
+        None,
+        "ok",
+        "",
+    ]
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: f"{type(cell).__name__}-{cell!r}")
+    def test_each_cell_type_is_spelled_as_fmt_spells_it(self, cell):
+        rows = [[cell], [1.5, cell, 2], (cell, cell)]
+        for row in rows:
+            assert cli._table("csv", ["a"], [row]) == element_table(["a"], [row])
+
+    def test_row_types_that_change_partway(self):
+        # a frozen qsl row between ok ones, and scaling's exponent row under its n rows
+        header = ["sweep_value", "t_qsl", "status"]
+        rows = [[0.5, 1.25, "ok"], [0.0, None, "frozen_dynamics"], [2.0, 0.75, "ok"], [np.float64(3.0), 0.5, "ok"]]
+        assert cli._table("csv", header, rows) == element_table(header, rows)
+        rows = [[64, 0.25], [np.int64(128), 0.125], [2**64, 0.0625], ["exponent", -0.9971041876725053]]
+        assert cli._table("csv", ["n", "t_qsl"], rows) == element_table(["n", "t_qsl"], rows)
+
+    def test_a_row_of_every_cell_type_at_once(self):
+        rows = [self.CELLS, self.CELLS[::-1], tuple(self.CELLS)]
+        header = [f"c{k}" for k in range(len(self.CELLS))]
+        assert cli._table("csv", header, rows) == element_table(header, rows)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, math.nan, 1.5],
+            [math.inf, 0.25],
+            [1e308, 1e308],  # finite cells whose sum overflows
+            [np.float64(0.1), np.float64(2.5)],
+            [1, 0.5, 2, 2**70],
+            [0.1, -0.0, 5e-324, 1e300],
+        ],
+        ids=["nan", "inf", "sum-overflows", "float64", "ints-and-floats", "finite"],
+    )
+    def test_json_lists_are_written_as_element_by_element(self, values):
+        assert cli._to_json(values) == element_list(values)
+        assert cli._to_json({"v": values}) == '{\n  "v": ' + element_list(values, 1) + "\n}"
+
+    def test_json_strings_and_keys_are_escaped_as_json_dumps_escapes_them(self):
+        text = 'a "quoted" caf\u00e9\n\\ tab\t \u2603'
+        assert cli._to_json(text) == json.dumps(text)
+        assert json.loads(cli._to_json({text: [text]})) == {text: [text]}
 
 
 def read_csv(path):

@@ -22,12 +22,13 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
   ``_propagate`` call on a fresh ``LindbladModel`` per call, of one random
   model per dimension;
 - every ``verify`` suite once at its default settings, and their sum;
-- ``cli.main`` in process for ``qsl``, ``fig1a`` and ``scaling`` at their
-  default config, the median of repeated calls: the sweep layer without
-  the interpreter start and the imports;
-- the CLI's file writer on a 64-row ``qsl`` table and on the default
-  5001-row ``evolve`` table, each to a fresh path per call and over the
-  same path each call (``WRITER_TABLES``);
+- ``cli.main`` in process for ``qsl``, ``fig1a``, ``scaling`` and
+  ``evolve`` at their default config, the median of repeated calls: the
+  sweep layer without the interpreter start and the imports;
+- on a 64-row ``qsl`` table and on the default 5001-row ``evolve`` table
+  (``WRITER_TABLES``): ``cli._table`` alone, on the rows that command
+  passes it, built once; and the CLI's file writer, to a fresh path per
+  call and over the same path each call;
 - the fixed work of a CLI call: ``config.load_config`` on the config of
   the first ``qsl``, ``fig1a`` and ``scaling`` item of the ``sweep_cli``
   workload (seed 0), and on ``INLINE_CONFIG``, whose inline model it
@@ -85,10 +86,10 @@ RHS_CHAINS = (5, 6)
 CELL_SECONDS = 0.2
 REPEATS = (3, 15)
 COMMANDS = ("qsl", "fig1a", "fig1b", "scaling", "verify", "qfi", "evolve")
-IN_PROCESS_COMMANDS = ("qsl", "fig1a", "scaling")
-# (command, config) of the tables the file writer is timed on: a 64-row
-# gamma sweep of the dephasing preset, as one sweep_cli qsl item writes, and
-# the default evolve trajectory.
+IN_PROCESS_COMMANDS = ("qsl", "fig1a", "scaling", "evolve")
+# (command, config) of the tables the formatter and the file writer are
+# timed on: a 64-row gamma sweep of the dephasing preset, as one sweep_cli
+# qsl item writes, and the default evolve trajectory.
 WRITER_TABLES = (
     (
         "qsl",
@@ -139,17 +140,27 @@ def _time_ms(out: dict, group: str, key: str, fn) -> None:
     out[group + "_min"][key] = 1e3 * min(times)
 
 
-def _time_writer(out: dict, cli, tmp: str) -> None:
+def _time_output(out: dict, cli, tmp: str) -> None:
+    """Time ``cli._table`` on the arguments that each ``WRITER_TABLES``
+    command passes it, and ``cli._write_text`` on the text it writes."""
     for command, text in WRITER_TABLES:
         config = os.path.join(tmp, f"{command}.ini")
         with open(config, "w", encoding="utf-8") as fh:
             fh.write(text)
         table = os.path.join(tmp, f"{command}.csv")
-        if cli.main([command, "--config", config, "--output", table]) != 0:
-            raise RuntimeError(f"{command} table for the writer cells failed")
+        calls = []
+        format_table = cli._table
+        cli._table = lambda *args: calls.append(args) or format_table(*args)
+        try:
+            code = cli.main([command, "--config", config, "--output", table])
+        finally:
+            cli._table = format_table
+        if code != 0:
+            raise RuntimeError(f"{command} table for the output cells failed")
         with open(table, encoding="utf-8", newline="") as fh:
             data = fh.read()
         rows = data.count("\n") - 1
+        _time_ms(out, "table_ms", f"{command} {rows} rows", lambda: format_table(*calls[0]))
         fresh = (os.path.join(tmp, f"{command}-{k}.csv") for k in itertools.count())
         _time_ms(out, "writer_ms", f"{command} {rows} rows fresh", lambda: cli._write_text(next(fresh), data))
         _time_ms(out, "writer_ms", f"{command} {rows} rows overwrite", lambda: cli._write_text(table, data))
@@ -207,6 +218,8 @@ def worker(checkout: str, grid=GRID) -> dict:
         "verify_s",
         "cli_main_ms",
         "cli_main_ms_min",
+        "table_ms",
+        "table_ms_min",
         "writer_ms",
         "writer_ms_min",
         "fixed_ms",
@@ -254,7 +267,7 @@ def worker(checkout: str, grid=GRID) -> dict:
         for command in IN_PROCESS_COMMANDS:
             argv = [command, "--output", os.path.join(tmp, command)]
             _time_ms(out, "cli_main_ms", command, lambda: cli.main(argv))
-        _time_writer(out, cli, tmp)
+        _time_output(out, cli, tmp)
         _time_fixed(out, config, tmp)
     out["minflt"] = {"worker pass": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
     return out
@@ -375,6 +388,8 @@ def main(argv=None) -> int:
             "cli_main_ms": "ms, median of repeated in-process cli.main calls",
             "cli_main_ms_min": "ms, minimum of the same calls",
             "cli_s": "s, wall time of one fresh process",
+            "table_ms": "ms, median of repeated cli._table calls on one command's rows",
+            "table_ms_min": "ms, minimum of the same calls",
             "writer_ms": "ms, median of repeated writes of one table",
             "writer_ms_min": "ms, minimum of the same writes",
             "fixed_ms": "ms, median of repeated calls of a CLI call's fixed work",
