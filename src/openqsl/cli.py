@@ -5,32 +5,29 @@ Every command hands its text to ``_emit``: the six table commands pass
 ``_table``'s CSV or JSON records, and ``verify`` its JSON report. ``_emit``
 writes it to ``--output``, [output] path or ``<command>.<format>``
 (``trajectory.<format>`` for ``evolve``) through ``_write_text``, the one
-place in the package that opens a file for writing, and then, if that is
-a regular file other than stdout's, a ``<path>.meta.json`` sidecar
-echoing the configuration, seed, step taken (null if none), the decay
-constant of the damping model (checked against the integrator by
-``tests/test_models.py``), and the library version. ``/dev/stdout``, a
-FIFO or ``os.devnull`` gets no sidecar, nor does stdout's own file, which
-is written through stdout so that ``--output /dev/stdout >> log`` appends. Numeric fields are
-serialized with 17 significant digits, so identical inputs give
-byte-identical files. ``_fmt`` is the rule for a CSV cell: a float as
-``%.17g``, an integer in full, a bool as true/false, None as empty. A CSV
-row is written by one ``%``-format call on a template of its cell types
-that spells each cell as ``_fmt`` does, and a cell of a type the template
-has no conversion for (a bool, None) is spelled by ``_fmt`` first. ``--seed`` takes a nonnegative integer, as numpy's
-generators do; a negative one is a usage error, so ``verify`` stops
-before any suite runs.
+place in the package that opens a file for writing. A regular file other
+than stdout's gets a ``<path>.meta.json`` sidecar echoing the
+configuration, seed, step taken (null if none), the decay constant of the
+damping model (checked against the integrator by ``tests/test_models.py``)
+and the library version; ``/dev/stdout``, a FIFO, ``os.devnull`` and
+stdout's own file, written through stdout so that ``--output /dev/stdout
+>> log`` appends, get none. Numbers are written with 17 significant
+digits, so identical inputs give byte-identical files: ``_fmt`` spells a
+CSV cell, and ``_table`` writes a row with one ``%``-format call that
+spells each cell as ``_fmt`` does. ``--seed`` takes a nonnegative integer,
+as numpy's generators do; a negative one is a usage error, so ``verify``
+stops before any suite runs.
 
 Before a command runs, ``_check_reads`` rejects a sweep that it does not
 read and, for ``qsl``, ``qfi`` and ``evolve``, a preset's model parameter
 set or swept beside an inline model.
 
-Models come from ``config`` alone. ``qsl`` and ``fig1a`` take their
-speed-limit scalars as columns from ``config.sweep_columns``, which builds
-one unit-rate model per distinct model shape for the whole command
-(``fig1a``'s three curves share one), and then evaluate the time bound row
-by row. The argument parser is built once per process, on the first call
-of ``main``.
+Models come from ``config`` alone. ``qsl``, ``fig1a`` and ``scaling`` take
+their speed-limit scalars as columns from ``config.sweep_columns``, which
+builds no model for a preset, and evaluate the time bound row by row. The
+commands that integrate a model (``fig1b``, ``qfi``, ``evolve``, ``verify``)
+read ``compute_quantities`` on that model. The argument parser is built
+once per process, on the first call of ``main``.
 
 Exit codes: 0 success, 1 configuration error (a trajectory over the
 memory budget included), 2 integration-quality failure, 3 property
@@ -68,15 +65,11 @@ from .errors import (
     ResourceLimitError,
     UnreachableTargetError,
 )
-from .models import (
-    EMISSION_DECAY_PER_GAMMA,
-    ProductModelParams,
-    exact_emission_time,
-    product_quantities_analytic,
-    scaling_exponent,
-)
+from .models import EMISSION_DECAY_PER_GAMMA, exact_emission_time, scaling_exponent
 
 FIG1A_OMEGAS = (0.01, 1.0, 4.0)
+# The parameters of scaling's product chains besides n, with their defaults.
+SCALING_DEFAULTS = {"omega": 0.1, "gamma": 10.0, "theta": math.pi / 4}
 
 
 class _Speeds(NamedTuple):
@@ -266,7 +259,6 @@ def cmd_qsl(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
-    theta = cfg.param("theta", math.pi / 4)
     theta_target = cfg.param("theta_target", math.pi / 4)
     gammas = np.logspace(
         math.log10(cfg.param("gamma_min", 1e-3)),
@@ -275,10 +267,10 @@ def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
     ).tolist()
     header = ["gamma"] + [f"t_qsl_omega_{om:g}" for om in FIG1A_OMEGAS]
 
-    # One gamma sweep of the dephasing preset per curve, all as one column
-    # sweep over (omega, gamma), curve by curve.
+    # One gamma sweep of the dephasing preset at cfg's theta per curve, all
+    # as one column sweep over (omega, gamma), curve by curve.
     _, _, e_term, v_coeff = sweep_columns(
-        ExperimentConfig(preset="dephasing", parameters={"theta": theta}),
+        ExperimentConfig(preset="dephasing", parameters=cfg.parameters),
         {
             "omega": [omega for omega in FIG1A_OMEGAS for _ in gammas],
             "gamma": gammas * len(FIG1A_OMEGAS),
@@ -322,21 +314,21 @@ def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_scaling(cfg: ExperimentConfig, args) -> int:
-    omega = cfg.param("omega", 0.1)
-    gamma = cfg.param("gamma", 10.0)
-    theta = cfg.param("theta", math.pi / 4)
+    chain = ExperimentConfig(preset="product", parameters={**SCALING_DEFAULTS, **cfg.parameters})
     theta_target = cfg.param("theta_target", math.pi / 4)
     n_values = (
         [int(v) for v in cfg.sweep()] if cfg.sweep_name == "n" else [64, 128, 256, 512, 1024]
     )
 
+    columns = sweep_columns(chain, {"n": n_values})
     try:
-        chains = [ProductModelParams(n=n, omega=omega, gamma=gamma, theta=theta) for n in n_values]
-        samples = [(p.n, qsl.t_qsl(product_quantities_analytic(p), theta_target)) for p in chains]
+        samples = [
+            (n, qsl.t_qsl(_Speeds(v, e), theta_target)) for n, e, v in zip(n_values, *columns[2:])
+        ]
         for n, t in samples:
             if t == math.inf:  # 2s/v past the float range, as for a subnormal omega
                 raise ValueError(f"the time bound of the chain of n = {n} sites overflows a float")
-    except ValueError as exc:  # a parameter out of range, an overflow, or a frozen chain
+    except ValueError as exc:  # an overflow, or a frozen chain
         raise ConfigError(f"[parameters]: {exc}")
     try:
         exponent = scaling_exponent(samples)

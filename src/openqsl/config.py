@@ -20,23 +20,16 @@ beside an inline model is rejected by the commands that read the model
 read those keys themselves. A [parameters] or sweep value is checked
 against its key's domain when a command reads it.
 
-One ``configparser.ConfigParser`` serves every ``load_config`` call of the
-process, built on first use: constructing one costs as much as reading a
-small config, nearly all of it in its ``ConverterMapping`` scanning the
-parser's attributes with ``dir()``. ``_read_ini`` empties the parser of
-the previous file's sections and [DEFAULT] keys, reads the file and
-copies out every section, all under one lock, so two threads never see
-each other's files; the validation runs on that copy.
+One ``configparser.ConfigParser``, built on first use, serves every
+``load_config`` call of the process, since building one costs as much as
+reading a small config; ``_read_ini`` empties it, reads a file and copies
+out its sections under one lock, so two threads never see each other's.
 
-Every preset model comes from ``preset_model``, whose model constructors
-check their parameters by the rules of ``models.PARAMETER_RULES``; it
-reports a broken one as a [parameters] ConfigError. ``build_model`` feeds
-it the config's own parameters, or returns the config's inline model.
-``sweep_columns`` evaluates a sweep as columns: it finds the first row
-that breaks its preset's rules, builds one unit-rate model (omega = gamma
-= 1) per distinct parameter set of the rows before it, and returns the
-speed-limit scalars of every row by scaling that model's terms with the
-row's rates.
+Every preset model comes from ``preset_model``, which reports a parameter
+that breaks ``models.PARAMETER_RULES`` as a [parameters] ConfigError;
+``build_model`` feeds it the config's own parameters, or returns the
+inline model. ``sweep_columns`` reads a sweep's speed-limit scalars from
+the closed forms of ``models.PRESET_TERMS`` and builds no model.
 """
 
 from __future__ import annotations
@@ -55,6 +48,7 @@ from .errors import ConfigError
 from .models import (
     EMISSION_GAMMA_RULE,
     PARAMETER_RULES,
+    PRESET_TERMS,
     DephasingQubitParams,
     ProductModelParams,
     dephasing_model,
@@ -78,7 +72,7 @@ MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
 # and n >= 1) are checked by their preset when a model is built.
 _POSITIVE = ("positive", lambda v: v > 0.0)
 _COUNT = ("a nonnegative integer", lambda v: v >= 0.0 and v == int(v))
-# A fig1a run peaks at about 856 bytes per gamma point (tracemalloc, 2e5
+# A fig1a run peaks at about 851 bytes per gamma point (tracemalloc, 2e5
 # points); at 1 KiB a point, this many points keep it within the byte cap
 # of a trajectory, and more are refused before anything is allocated.
 _FIG1A_MAX_POINTS = TRAJECTORY_BYTE_CAP // 1024
@@ -409,58 +403,50 @@ def build_model(cfg: ExperimentConfig):
 
 
 def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
-    """The speed-limit scalars of cfg's model at every row of ``columns``,
-    equal-length lists of values keyed by parameter name that replace the
-    config's own, as four lists: delta_h0, g_term, e_term and v_coeff.
+    """The speed-limit scalars of cfg's model at every row of ``columns``
+    (equal-length lists of values keyed by parameter name, which replace
+    the config's own) as four lists: delta_h0, g_term, e_term and v_coeff.
 
-    delta_h0 is linear in omega, and g_term and e_term are linear in gamma,
-    since every jump operator is sqrt(gamma) times a unit one. So
-    ``compute_quantities`` runs once per distinct unit-rate model (omega =
-    gamma = 1 and a row's other parameters, built by ``preset_model``; an
-    inline model is ``cfg.inline``), and each row scales its terms
-    by its own rates with the arithmetic of ``QslQuantities.from_terms``:
-    omega * delta_h0, gamma * g_term, gamma * e_term and
-    v = 2 delta_h0 + sqrt(2) g_term. An inline model, and the emission
-    preset's omega, take a factor of 1; a column the model does not read,
-    such as theta_target, changes no scalar.
-
-    The fixed parameters are checked once and each swept value by its
-    preset's rule, in the preset's order. The first row that breaks a rule
-    raises its ConfigError after the unit-rate models of the rows before
-    it are built, so a product chain over the dense cap in an earlier row
-    is reported first.
+    A preset's row is its closed form in ``models.PRESET_TERMS`` at the
+    row's parameters; every row of an inline model is its one
+    ``compute_quantities``. A column the model does not read, such as
+    theta_target, changes no scalar. The first row that breaks its
+    preset's rules, in the preset's order, raises that rule's ConfigError
+    before any row is evaluated, and a row whose terms or v = 2 delta_h0 +
+    sqrt(2) g_term overflow a float raises a [parameters] one naming it.
     """
     rows = len(next(iter(columns.values())))
     preset = _preset(cfg)
-    # Every parameter the model reads, as a column: swept, or fixed.
-    params = {
-        key: columns[key] if key in columns else [cfg.param(key, default)] * rows
-        for key, default in (PRESET_DEFAULTS[preset] if preset else {}).items()
-    }
-    # The first row that breaks a rule; a fixed value is checked on row 0.
-    bad, problem = rows, None
-    for key, values in params.items():
-        test, message = EMISSION_GAMMA_RULE if preset == "emission" else PARAMETER_RULES[key]
-        checked = values if key in columns else values[:1]
-        first = next((i for i, v in enumerate(checked) if not test(v)), rows)
-        if first < bad:
-            bad, problem = first, message
+    if preset is None:
+        q = compute_quantities(*cfg.inline)
+        params, terms = {}, [(q.delta_h0, q.g_term, q.e_term)] * rows
+    else:
+        # Every parameter the model reads, as a column: swept, or fixed.
+        params = {
+            key: columns[key] if key in columns else [cfg.param(key, default)] * rows
+            for key, default in PRESET_DEFAULTS[preset].items()
+        }
+        # The first row that breaks a rule; a fixed value is checked on row 0.
+        bad, problem = rows, None
+        for key, values in params.items():
+            test, message = EMISSION_GAMMA_RULE if preset == "emission" else PARAMETER_RULES[key]
+            checked = values if key in columns else values[:1]
+            first = next((i for i, v in enumerate(checked) if not test(v)), rows)
+            if first < bad:
+                bad, problem = first, message
+        if problem is not None:
+            raise ConfigError(f"[parameters]: {problem}")
+        try:
+            terms = list(map(PRESET_TERMS[preset], *params.values()))
+        except ValueError as exc:  # a product chain's terms overflow
+            raise ConfigError(f"[parameters]: {exc}")
 
-    shape = [key for key in params if key not in ("omega", "gamma")]
-    keys = list(zip(*(params[key] for key in shape))) if shape else [()] * rows
-    unit_rates = {key: 1.0 for key in params if key not in shape}
-    unit = {}
-    for key in keys[:bad]:
-        if key not in unit:
-            built = cfg.inline or preset_model(preset, {**dict(zip(shape, key)), **unit_rates})
-            unit[key] = compute_quantities(*built)
-    if problem is not None:
-        raise ConfigError(f"[parameters]: {problem}")
-
-    units = [unit[key] for key in keys]
-    ones = [1.0] * rows
-    delta_h0 = [w * q.delta_h0 for w, q in zip(params.get("omega", ones), units)]
-    g_term = [r * q.g_term for r, q in zip(params.get("gamma", ones), units)]
-    e_term = [r * q.e_term for r, q in zip(params.get("gamma", ones), units)]
+    delta_h0, g_term, e_term = map(list, zip(*terms))
     v_coeff = list(map(v_coefficient, delta_h0, g_term))
+    for i, v in enumerate(v_coeff):
+        if not math.isfinite(v):  # 2 delta_h0 overflows past about 9e307
+            row = ", ".join(f"{k} = {values[i]!r}" for k, values in {**columns, **params}.items())
+            raise ConfigError(
+                f"[parameters]: v = 2 delta_h0 + sqrt(2) g_term overflows a float at row {i} ({row})"
+            )
     return delta_h0, g_term, e_term, v_coeff

@@ -1,11 +1,11 @@
-"""Short-time Fisher-information extraction and its speed-limit ceiling.
+"""The short-time fidelity curvature and its speed-limit ceiling.
 
-For a pure initial state the fidelity with the evolved state decays as
-1 - F_Q t^2 / 4 at short times, so 4(1 - F)/t^2 estimates the quantum
-Fisher information of the time parameter. The same scalars that bound the
-evolution speed also cap that estimate from above, giving a trade-off
-between how fast a state departs and how much timing information it can
-carry.
+From a pure initial state, the fidelity curvature 4(1 - F)/t^2 equals the
+quantum Fisher information F_Q of the time parameter as t -> 0 only for
+closed dynamics (e = 0), where 1 - F = F_Q t^2/4 + O(t^4). With e > 0 the
+fidelity falls linearly, 1 - F = e t + O(t^2), and the curvature tends to
+4 F_Q. The same scalars that bound the evolution speed cap the curvature
+from above (``qfi_bound``).
 
 ``verify_fisher_tradeoff`` integrates one trajectory to the last grid time
 and reads every grid time off it: a time that lands on a stored state reads
@@ -43,7 +43,8 @@ class FisherReport:
 
 
 def qfi_short_time(fidelity: float, t: float) -> float:
-    """Curvature estimate 4(1 - F)/t^2 of the fidelity decay."""
+    """Fidelity curvature 4(1 - F)/t^2: as t -> 0, the quantum Fisher
+    information of the time parameter if e = 0, and 4 times it if e > 0."""
     if not t > 0.0:
         raise ValueError("t must be positive")
     if not (-1e-12 <= fidelity <= 1.0 + 1e-12):
@@ -101,9 +102,8 @@ def verify_fisher_tradeoff(
     [0, t_grid[-1]] at step ``min(dt, t_grid[-1])``; each point is sampled
     exactly at its time t by a partial RK4 step from the last stored state
     at or before t, so a grid time below the step is one step of size t from
-    the initial state. Points beyond the short-time window are still
-    evaluated; the estimate simply stops being a Fisher-information reading
-    there. The fidelity is read against ``traj.rho0``, the normalized start
+    the initial state. Points beyond the short-time window are evaluated
+    too. The fidelity is read against ``traj.rho0``, the normalized start
     that was integrated.
     """
     t_grid = time_grid(t_grid)

@@ -2,14 +2,10 @@
 locally-dephased N-qubit product chain, H = sum_i (omega/2) sigma_z^(i),
 L_i = sqrt(gamma) sigma_x^(i), from n Bloch states of polar angle theta.
 
-The chain's speed-limit scalars have a closed form in theta and n
-(``product_quantities_analytic``): delta_h0 = omega (sin(theta)/2) sqrt(n),
-e_term = gamma n cos^2(theta) and g_term = gamma |cos(theta)|
-sqrt(n (2 + (n - 1) cos^2(theta))). With <sigma_x> = sin(theta), the
-single-site deformation D = sigma_x rho1 sigma_x - rho1 has Tr(D^2) =
-2 - 2 <sigma_x>^2 = 2 cos^2(theta) and Tr(rho1 D) = <sigma_x>^2 - 1 =
--cos^2(theta). ``product_model_dense`` builds the same chain as a dense
-2^n-dimensional model, up to PRODUCT_DENSE_MAX_QUBITS sites.
+Each preset's speed-limit scalars (delta_h0, g_term, e_term) have a closed
+form in its own parameters, next to its constructor, and ``PRESET_TERMS``
+maps each preset name to it. No rate is squared, so finite rates give
+finite terms; only the chain's n can overflow them.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg
-from .dynamics import LindbladModel
+from .dynamics import TRAJECTORY_BYTE_CAP, LindbladModel
 from .errors import ResourceLimitError
 from .qsl import QslQuantities
 
@@ -30,7 +26,12 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-PRODUCT_DENSE_MAX_QUBITS = 12
+# The largest dense chain. Building H and the n jump operators peaks near
+# (2n + 2) 4^n complex entries (tracemalloc: 14.1, 16.0, 18.0 and 20.0 of
+# them at n = 6..9), held to the byte cap of a trajectory: n <= 10.
+PRODUCT_DENSE_MAX_QUBITS = max(
+    n for n in range(1, 32) if (2 * n + 2) * 4**n * 16 <= TRAJECTORY_BYTE_CAP
+)
 
 # Excited-state population of the damping model decays as
 # exp(-EMISSION_DECAY_PER_GAMMA * gamma * t). tests/test_models.py fits
@@ -102,6 +103,19 @@ def dephasing_model(p: DephasingQubitParams) -> tuple[LindbladModel, np.ndarray]
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), bloch_state(p.theta)
 
 
+def dephasing_terms(omega: float, gamma: float, theta: float) -> tuple:
+    """(delta_h0, g_term, e_term) = ((omega/2)|cos(theta)|, sqrt(2) gamma
+    |sin(theta)|, gamma sin^2(theta)) of the dephasing model, from
+    <sigma_x> = sin(theta), <sigma_z> = cos(theta) and the deformation
+    D = sigma_z rho sigma_z - rho, Tr(D^2) = 2 - 2 <sigma_z>^2."""
+    sin = math.sin(theta)
+    return (
+        omega * (0.5 * abs(math.cos(theta))),
+        gamma * (math.sqrt(2.0) * abs(sin)),
+        gamma * (sin * sin),
+    )
+
+
 def spontaneous_emission_model(gamma: float) -> tuple[LindbladModel, np.ndarray]:
     """Amplitude damping from the excited state: H = 0, L = sqrt(gamma) sigma_-."""
     check_parameter(EMISSION_GAMMA_RULE, gamma)
@@ -109,6 +123,12 @@ def spontaneous_emission_model(gamma: float) -> tuple[LindbladModel, np.ndarray]
     ops = (math.sqrt(gamma) * SIGMA_MINUS,)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), psi0
+
+
+def emission_terms(gamma: float) -> tuple:
+    """(delta_h0, g_term, e_term) = (0, gamma, gamma) of the damping model:
+    on the excited state sigma_- has variance 1 and adjoint dissipator -|0><0|."""
+    return 0.0, gamma, gamma
 
 
 def exact_emission_time(gamma: float, theta_target: float) -> float:
@@ -132,11 +152,12 @@ def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
 
 
 def product_model_dense(p: ProductModelParams) -> tuple[LindbladModel, np.ndarray]:
-    """Dense 2^n-dimensional chain with one dephasing channel per site."""
+    """Dense 2^n-dimensional chain with one dephasing channel per site; over
+    PRODUCT_DENSE_MAX_QUBITS sites, ResourceLimitError before allocating."""
     if p.n > PRODUCT_DENSE_MAX_QUBITS:
         raise ResourceLimitError(
-            f"dense product model capped at {PRODUCT_DENSE_MAX_QUBITS} qubits "
-            f"(requested {p.n}); use product_quantities_analytic instead"
+            f"dense product model capped at {PRODUCT_DENSE_MAX_QUBITS} qubits by the "
+            f"{TRAJECTORY_BYTE_CAP}-byte cap (requested {p.n}); use product_terms instead"
         )
     h = np.zeros((2**p.n, 2**p.n), dtype=complex)
     for site in range(p.n):
@@ -151,41 +172,42 @@ def product_model_dense(p: ProductModelParams) -> tuple[LindbladModel, np.ndarra
     return LindbladModel(hamiltonian=h, lindblad_ops=ops), psi0
 
 
-def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
-    """Speed-limit scalars of the product chain in closed form, O(1) for any n:
+def product_terms(n: int, omega: float, gamma: float, theta: float) -> tuple:
+    """(delta_h0, g_term, e_term) = (omega (sin(theta)/2) sqrt(n), gamma
+    |cos(theta)| sqrt(n (2 + (n - 1) cos^2(theta))), gamma n cos^2(theta))
+    of the product chain, O(1) for any n.
 
-        delta_h0 = omega (sin(theta)/2) sqrt(n),
-        e_term   = gamma n cos^2(theta),
-        g_term   = gamma |cos(theta)| sqrt(n (2 + (n - 1) cos^2(theta))).
-
-    Each site holds the Bloch state of polar angle theta, with <sigma_z> =
-    cos(theta) and <sigma_x> = sin(theta), so var(sigma_z / 2) =
-    sin^2(theta)/4 and var(sigma_x) = cos^2(theta), both additive over
-    sites. Its deformation D = sigma_x rho1 sigma_x - rho1 has Tr(D^2) =
-    2 - 2 Tr(rho1 sigma_x rho1 sigma_x) = 2 - 2 <sigma_x>^2 = 2 cos^2(theta)
-    and Tr(rho1 D) = <sigma_x>^2 - 1 = -cos^2(theta). For a product state
+    Per site <sigma_z> = cos(theta) and <sigma_x> = sin(theta), so
+    var(sigma_z/2) = sin^2(theta)/4 and var(sigma_x) = cos^2(theta) add over
+    sites. The deformation D = sigma_x rho1 sigma_x - rho1 has Tr(D^2) =
+    2 - 2 <sigma_x>^2 = 2 cos^2(theta) and Tr(rho1 D) = -cos^2(theta), and
     Tr(D_i D_j) = Tr(rho1 D)^2 for sites i != j, so g^2 = n Tr(D^2) +
-    n(n-1) Tr(rho1 D)^2. Agreement with the dense construction is
-    unit-tested for n <= 8.
-
-    No rate is squared, so any finite omega and gamma give finite terms;
-    without dephasing (gamma = 0) g_term and e_term are 0 and not formed.
-    Raises ValueError naming n if a term overflows a float.
+    n(n-1) Tr(rho1 D)^2. Without dephasing g_term and e_term are 0 and not
+    formed. Raises ValueError naming n if a term overflows a float.
     """
-    n = p.n
     g_term = e_term = 0.0
     try:
-        delta_h0 = p.omega * (0.5 * math.sin(p.theta) * math.sqrt(n))
-        if p.gamma != 0.0:
-            cos = math.cos(p.theta)
+        delta_h0 = omega * (0.5 * math.sin(theta) * math.sqrt(n))
+        if gamma != 0.0:
+            cos = math.cos(theta)
             cos_sq = cos * cos
-            e_term = p.gamma * (n * cos_sq)
-            g_term = p.gamma * (abs(cos) * math.sqrt(n * (2.0 + (n - 1) * cos_sq)))
+            e_term = gamma * (n * cos_sq)
+            g_term = gamma * (abs(cos) * math.sqrt(n * (2.0 + (n - 1) * cos_sq)))
     except OverflowError:  # n past the float range
         delta_h0 = math.inf
     if not all(map(math.isfinite, (delta_h0, g_term, e_term))):
         raise ValueError(f"the speed-limit terms of the chain of n = {n} sites overflow a float")
-    return QslQuantities.from_terms(delta_h0, g_term, e_term)
+    return delta_h0, g_term, e_term
+
+
+def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
+    """``product_terms`` of the chain ``p`` as a QslQuantities."""
+    return QslQuantities.from_terms(*product_terms(p.n, p.omega, p.gamma, p.theta))
+
+
+# Each preset's closed-form (delta_h0, g_term, e_term), taking the
+# [parameters] of config.PRESET_DEFAULTS in its order.
+PRESET_TERMS = {"emission": emission_terms, "dephasing": dephasing_terms, "product": product_terms}
 
 
 def scaling_exponent(samples) -> float:

@@ -14,6 +14,7 @@ import pytest
 from openqsl import cli, config, dynamics, qsl, verify
 from openqsl.config import ExperimentConfig, build_model, load_config
 from openqsl.errors import FrozenDynamicsError
+from openqsl.models import ProductModelParams, product_quantities_analytic
 from openqsl.verify import PropertyResult
 
 
@@ -205,10 +206,29 @@ class TestExitCodes:
                 "[parameters]: omega must be positive",
             ),
             ("evolve", "[parameters]\ngamma = -1", "[parameters]: gamma must be positive"),
+            # a dense chain over the byte cap, refused before it is built
+            *(
+                (
+                    command,
+                    "[model]\npreset = product\n[parameters]\nn = 11",
+                    "[parameters]: dense product model capped at 10 qubits by the "
+                    "1073741824-byte cap (requested 11)",
+                )
+                for command in ("evolve", "qfi")
+            ),
+            # finite terms, but v = 2 delta_h0 + sqrt(2) g_term overflows
             (
-                "evolve",
-                "[model]\npreset = product\n[parameters]\nn = 13",
-                "[parameters]: dense product model capped at 12 qubits (requested 13)",
+                "qsl",
+                "[model]\npreset = product\n[parameters]\nomega = 1.1e308\ngamma = 0\n"
+                "n = 3\ntheta = 1.5707963267948966",
+                "[parameters]: v = 2 delta_h0 + sqrt(2) g_term overflows a float at row 0 "
+                "(theta_target = 0.7853981633974483, n = 3.0, omega = 1.1e+308",
+            ),
+            (
+                "scaling",
+                "[parameters]\nomega = 3.5e307\ngamma = 0\n[sweep]\nname = n\nvalues = 64, 65, 66",
+                "[parameters]: v = 2 delta_h0 + sqrt(2) g_term overflows a float at row 0 "
+                "(n = 64, omega = 3.5e+307",
             ),
             (
                 "qfi",
@@ -702,14 +722,14 @@ class TestRateScaledSweeps:
                 "[sweep]\nname = gamma\nvalues = 1, -1",
                 "theta must lie in [0, pi]",
             ),
-            # rows before the first bad one still build their model
+            # a chain past the dense cap is a row like any other
             (
                 "[model]\npreset = product\n[sweep]\nname = n\nvalues = 3, 40, 0",
-                "dense product model capped at 12 qubits (requested 40)",
+                "n must be a positive integer",
             ),
             ("[model]\npreset = product\n[sweep]\nname = n\nvalues = 3, 1, 0", "n must be a positive integer"),
         ],
-        ids=["gamma", "theta", "row-order", "fixed-first", "cap-first", "n"],
+        ids=["gamma", "theta", "row-order", "fixed-first", "past-dense-cap", "n"],
     )
     def test_first_bad_row_exits_one(self, tmp_path, capsys, text, message):
         assert run(tmp_path, "qsl", "--config", write_config(tmp_path, text + "\n")) == 1
@@ -739,17 +759,27 @@ class TestRateScaledSweeps:
             assert_row_matches(row, want)
 
     @pytest.mark.parametrize(
-        "command, text, calls",
+        "command, text",
         [
-            ("qsl", "[model]\npreset = dephasing\n[sweep]\nname = gamma\nvalues = 0, 1, 2, 3", 1),
-            ("qsl", "[model]\npreset = dephasing\n[sweep]\nname = theta\nvalues = 0.1, 0.2, 0.1", 2),
-            # the three curves share one unit-rate model
-            ("fig1a", "[parameters]\ngamma_points = 20", 1),
+            ("qsl", "[model]\npreset = dephasing\n[sweep]\nname = gamma\nvalues = 0, 1, 2, 3"),
+            ("qsl", "[model]\npreset = dephasing\n[sweep]\nname = theta\nvalues = 0.1, 0.2, 0.1"),
+            ("qsl", "[model]\npreset = product\n[sweep]\nname = n\nvalues = 1, 3, 2e6"),
+            ("qsl", "[sweep]\nname = gamma\nvalues = 0.5, 2"),
+            ("fig1a", "[parameters]\ngamma_points = 20"),
+            ("scaling", ""),
         ],
+        ids=["qsl-gamma", "qsl-theta", "qsl-n", "qsl-emission", "fig1a", "scaling"],
     )
-    def test_quantities_computed_once_per_unit_rate_model(
-        self, tmp_path, monkeypatch, command, text, calls
-    ):
+    def test_preset_rows_build_no_model(self, tmp_path, monkeypatch, command, text):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a model was built or evaluated")
+
+        monkeypatch.setattr(config, "preset_model", unreachable)
+        monkeypatch.setattr(config, "compute_quantities", unreachable)
+        monkeypatch.setattr(dynamics.LindbladModel, "__post_init__", unreachable)
+        assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 0
+
+    def test_inline_rows_compute_quantities_once(self, tmp_path, monkeypatch):
         seen = []
 
         def counting(model, psi0):
@@ -757,5 +787,31 @@ class TestRateScaledSweeps:
             return qsl.compute_quantities(model, psi0)
 
         monkeypatch.setattr(config, "compute_quantities", counting)
-        assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 0
-        assert len(seen) == calls
+        text = (
+            "[model]\nhamiltonian = [[[1, 0], [0.3, 0.1]], [[0.3, -0.1], [-1, 0]]]\n"
+            "psi0 = [[0.6, 0], [0, 0.8]]\n[sweep]\nname = theta_target\nvalues = 0.2, 0.5, 0.9\n"
+        )
+        assert run(tmp_path, "qsl", "--config", write_config(tmp_path, text)) == 0
+        assert seen == [2]
+
+    @pytest.mark.parametrize("n", [16, 2**20])
+    def test_product_chain_past_the_dense_cap_is_its_closed_form(self, tmp_path, n):
+        path = write_config(tmp_path, f"[model]\npreset = product\n[parameters]\nn = {n}\n")
+        assert run(tmp_path, "qsl", "--config", path) == 0
+        (row,) = read_csv(tmp_path / "out.csv")
+        q = product_quantities_analytic(
+            ProductModelParams(n=n, omega=1.0, gamma=1.0, theta=math.pi / 4)
+        )
+        assert row[1:5] == [cli._fmt(x) for x in (q.delta_h0, q.g_term, q.e_term, q.v_coeff)]
+
+    def test_product_chain_row_allocates_no_dense_model(self, tmp_path):
+        # a dense chain of 9 sites peaks near 130 MB while it is built
+        path = write_config(tmp_path, "[model]\npreset = product\n[parameters]\nn = 9\n")
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "qsl", "--config", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openqsl import cli, config, qsl
+from openqsl import cli, config, models, qsl
 from openqsl.config import ExperimentConfig, build_model, load_config, sweep_columns
 from openqsl.dynamics import LindbladModel
 from openqsl.errors import ConfigError
@@ -188,23 +188,32 @@ class TestSweepColumns:
             ("emission", {"gamma": 2.5}, {"theta_target": [0.2, 0.9]}),
         ],
     )
-    def test_rows_scale_the_unit_rate_model_as_from_terms(self, preset, fixed, columns):
+    def test_rows_are_the_closed_form_at_each_row(self, preset, fixed, columns):
         cfg = ExperimentConfig(preset=preset, parameters=fixed)
         got = sweep_columns(cfg, columns)
         rows = len(next(iter(columns.values())))
         assert [len(column) for column in got] == [rows] * 4
         for i in range(rows):
             row = {**fixed, **{key: values[i] for key, values in columns.items()}}
-            omega = row.pop("omega", 1.0) if preset != "emission" else 1.0
-            gamma = row.pop("gamma", 1.0)
-            unit_cfg = ExperimentConfig(preset=preset, parameters={**row, "omega": 1.0, "gamma": 1.0})
-            unit = qsl.compute_quantities(*build_model(unit_cfg))
-            want = qsl.QslQuantities.from_terms(
-                omega * unit.delta_h0, gamma * unit.g_term, gamma * unit.e_term
-            )
+            params = [row.get(key, default) for key, default in config.PRESET_DEFAULTS[preset].items()]
+            delta_h0, g_term, e_term = models.PRESET_TERMS[preset](*params)
             assert [column[i] for column in got] == [
-                want.delta_h0, want.g_term, want.e_term, want.v_coeff
+                delta_h0, g_term, e_term, qsl.v_coefficient(delta_h0, g_term)
             ]
+
+    @pytest.mark.parametrize(
+        "preset, fixed, columns, row",
+        [
+            ("product", {"gamma": 0.0, "theta": 1.5707963267948966}, {"omega": [1.0, 1.1e308]}, 1),
+            ("dephasing", {"theta": 0.0, "gamma": 0.0}, {"omega": [1.8e308, 1.0]}, 0),
+            ("dephasing", {"theta": 1.5}, {"gamma": [1.0, 2.0, 1.5e308]}, 2),
+        ],
+    )
+    def test_an_overflowing_speed_names_its_row(self, preset, fixed, columns, row):
+        # delta_h0 and g_term are finite, but v = 2 delta_h0 + sqrt(2) g_term is not
+        cfg = ExperimentConfig(preset=preset, parameters=fixed)
+        with pytest.raises(ConfigError, match=f"^\\[parameters\\]: v = .* overflows a float at row {row} "):
+            sweep_columns(cfg, columns)
 
     def test_inline_model_rows_are_its_quantities(self, tmp_path):
         cfg = load(tmp_path, INLINE_MODEL)

@@ -78,6 +78,26 @@ class TestShortTimeWindow:
         assert fisher.short_time_window(q) == 0.1 / 50.0
 
 
+class TestFidelityCurvature:
+    # 4(1 - F)/t^2 reads the quantum Fisher information F_Q of the time
+    # parameter as t -> 0 only for closed dynamics; with e > 0 it reads 4 F_Q.
+    def test_closed_qubit_reads_the_fisher_information(self):
+        # H = sigma_z/2 on |+>: F_Q = 4 var(H) = 1, and 1 - F = sin^2(t/2)
+        model = dynamics.LindbladModel(hamiltonian=np.diag([0.5, -0.5]).astype(complex))
+        psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        (r,) = fisher.verify_fisher_tradeoff(model, psi0, [1e-3], 1e-4)
+        assert r.qfi_estimate == pytest.approx(1.0, rel=1e-6, abs=0.0)
+
+    def test_damped_qubit_reads_four_times_the_fisher_information(self):
+        # rho(t) = diag(p, 1 - p) with p = exp(-t), so F_Q = sum pdot^2/p =
+        # p/(1 - p), near 1/t, while 1 - F = 1 - p is near t
+        model, psi0 = spontaneous_emission_model(1.0)
+        for r in fisher.verify_fisher_tradeoff(model, psi0, [1e-6, 1e-4], 1e-4):
+            t = r.horizon_t
+            f_q = math.exp(-t) / -math.expm1(-t)
+            assert r.qfi_estimate / f_q == pytest.approx(4.0, rel=1e-6, abs=0.0)
+
+
 class TestVerifyFisherTradeoff:
     def test_emission_matches_closed_form(self):
         # the excited population decays as exp(-gamma t), so F(t) = exp(-t)

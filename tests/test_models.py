@@ -1,14 +1,20 @@
+import inspect
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from openqsl import cli
+from openqsl.config import PRESET_DEFAULTS, preset_model
 from openqsl.dynamics import evolve
+from openqsl.errors import ResourceLimitError
 from openqsl.models import (
     EMISSION_DECAY_PER_GAMMA,
+    PRESET_TERMS,
+    PRODUCT_DENSE_MAX_QUBITS,
     ProductModelParams,
     product_model_dense,
     product_quantities_analytic,
@@ -66,6 +72,59 @@ class TestProductChain:
             assert q.delta_h0 == pytest.approx(want, rel=1e-12, abs=0.0)
             assert (q.g_term, q.e_term, q.ratio_r) == (0.0, 0.0, None)
             assert q.v_coeff == 2.0 * q.delta_h0
+
+
+def random_preset_params(rng, preset: str, k: int) -> dict:
+    """The k-th point of a seeded grid of the preset's parameters: theta
+    cycles through 0, pi/2 and pi on even k, and every fifth point of a
+    preset that allows it is undamped (gamma = 0)."""
+    draw = {
+        "n": lambda: rng.randint(1, 6),
+        "omega": lambda: 10.0 ** rng.uniform(-2.0, 2.0),
+        "gamma": lambda: 0.0 if k % 5 == 0 and preset != "emission" else 10.0 ** rng.uniform(-2.0, 2.0),
+        "theta": lambda: (0.0, math.pi / 2, math.pi)[k % 3] if k % 2 == 0 else rng.uniform(0.0, math.pi),
+    }
+    return {key: draw[key]() for key in PRESET_DEFAULTS[preset]}
+
+
+class TestPresetTerms:
+    def test_table_follows_the_preset_defaults(self):
+        assert list(PRESET_TERMS) == list(PRESET_DEFAULTS)
+        for preset, terms in PRESET_TERMS.items():
+            assert list(inspect.signature(terms).parameters) == list(PRESET_DEFAULTS[preset])
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_DEFAULTS))
+    def test_closed_forms_match_the_dense_model(self, preset):
+        # compute_quantities sums up to 2^6 rounded entries per term, and
+        # some terms vanish with cos(theta) or sin(theta) while their rate
+        # does not, so each term is compared on its natural scale: omega
+        # sqrt(n) for delta_h0, gamma (n + 1) for g_term and gamma n for
+        # e_term. The worst error on this grid is 9e-16 of that scale, and
+        # 1e-14 allows about 45 ulps. gamma = 0 is exact on both sides.
+        rng = random.Random(26)
+        for k in range(300):
+            params = random_preset_params(rng, preset, k)
+            got = PRESET_TERMS[preset](*params.values())
+            q = compute_quantities(*preset_model(preset, params))
+            n, gamma = params.get("n", 1), params["gamma"]
+            scales = (params.get("omega", 0.0) * math.sqrt(n), gamma * (n + 1), gamma * n)
+            for term, want, scale in zip(got, (q.delta_h0, q.g_term, q.e_term), scales):
+                assert abs(term - want) <= 1e-14 * scale, (params, got, q)
+
+
+class TestDenseChainBudget:
+    def test_over_the_cap_raises_before_allocating(self):
+        # the 1 GiB byte cap of a trajectory admits (2n + 2) 4^n complex
+        # entries for n <= 10; n = 11 would need about 1.6 GB
+        p = ProductModelParams(n=PRODUCT_DENSE_MAX_QUBITS + 1, omega=1.0, gamma=1.0, theta=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="capped at 10 qubits .* [(]requested 11[)]"):
+                product_model_dense(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestProductSplit:

@@ -5,10 +5,12 @@ Usage, from the root of a source checkout:
     python3 tools/bench.py --parent <checkout> --rounds 6 --out BENCH_13.json
 
 Each round runs one fresh worker process per checkout, alternating which
-goes first, so that a slow phase of a shared machine hits both sides, and
-right after it times each of the seven CLI commands at its default config,
-one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
-``openqsl`` from ``src/`` of its checkout only and times:
+goes first, so that a slow phase of a shared machine hits both sides. Then
+it times each of the seven CLI commands at its default config end to end,
+in ``CLI_PROCESSES`` fresh ``python3 -m openqsl`` processes per command and
+checkout, alternating the checkouts process by process, and records each
+checkout's median as its ``cli_s`` cell. A worker imports ``openqsl`` from
+``src/`` of its checkout only and times:
 
 - ``dynamics._propagate`` and ``dynamics._certified`` (the quality gate's
   per-state certificate) on one random model per dimension and step count
@@ -23,8 +25,9 @@ one fresh ``python3 -m openqsl`` process each, end to end. A worker imports
   model per dimension;
 - every ``verify`` suite once at its default settings, and their sum;
 - ``cli.main`` in process for ``qsl``, ``fig1a``, ``scaling`` and
-  ``evolve`` at their default config, the median of repeated calls: the
-  sweep layer without the interpreter start and the imports;
+  ``evolve`` at their default config, and for ``qsl`` on an 8-qubit
+  product chain (``IN_PROCESS``), the median of repeated calls: the sweep
+  layer without the interpreter start and the imports;
 - on a 64-row ``qsl`` table and on the default 5001-row ``evolve`` table
   (``WRITER_TABLES``): ``cli._table`` alone, on the rows that command
   passes it, built once; and the CLI's file writer, to a fresh path per
@@ -86,7 +89,16 @@ RHS_CHAINS = (5, 6)
 CELL_SECONDS = 0.2
 REPEATS = (3, 15)
 COMMANDS = ("qsl", "fig1a", "fig1b", "scaling", "verify", "qfi", "evolve")
-IN_PROCESS_COMMANDS = ("qsl", "fig1a", "scaling", "evolve")
+# Fresh processes per command and checkout in a round's cli_s cells; one
+# process per cell read unchanged code 16% slower in 5 of 6 rounds.
+CLI_PROCESSES = 5
+# (cell, command, config) of the in-process cli.main cells: four commands
+# at their default config, and qsl on an 8-qubit product chain, whose
+# scalars a dense 256-dimensional model gave before the closed forms.
+IN_PROCESS = (
+    *((command, command, "") for command in ("qsl", "fig1a", "scaling", "evolve")),
+    ("qsl product n=8", "qsl", "[model]\npreset = product\n[parameters]\nn = 8\n"),
+)
 # (command, config) of the tables the formatter and the file writer are
 # timed on: a 64-row gamma sweep of the dephasing preset, as one sweep_cli
 # qsl item writes, and the default evolve trajectory.
@@ -110,10 +122,10 @@ psi0 = [[0.6, 0], [0, 0.8]]
 PASSAGE = (4, 12_000)
 PASSAGE_TARGET = 0.5
 NOTES = (
-    "cli_s runs each command once into a fresh temporary directory, so it "
-    "creates every file and cannot show what rewriting an existing file "
-    "costs; cli_main_ms repeats each call over the same path, and writer_ms "
-    "times the writer alone, to a fresh path and over an existing file."
+    "cli_s runs each command process to a fresh path, so it creates every "
+    "file and cannot show what rewriting an existing file costs; "
+    "cli_main_ms repeats each call over the same path, and writer_ms times "
+    "the writer alone, to a fresh path and over an existing file."
 )
 SUITES = (
     "bound_dominance",
@@ -264,9 +276,13 @@ def worker(checkout: str, grid=GRID) -> dict:
         out["verify_s"][name] = time.perf_counter() - t
     out["verify_s"]["total"] = sum(out["verify_s"].values())
     with tempfile.TemporaryDirectory() as tmp:
-        for command in IN_PROCESS_COMMANDS:
+        for k, (cell, command, text) in enumerate(IN_PROCESS):
             argv = [command, "--output", os.path.join(tmp, command)]
-            _time_ms(out, "cli_main_ms", command, lambda: cli.main(argv))
+            if text:
+                argv += ["--config", os.path.join(tmp, f"in-process-{k}.ini")]
+                with open(argv[-1], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            _time_ms(out, "cli_main_ms", cell, lambda: cli.main(argv))
         _time_output(out, cli, tmp)
         _time_fixed(out, config, tmp)
     out["minflt"] = {"worker pass": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
@@ -308,17 +324,24 @@ def _run_worker(checkout: str, reverse: bool) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _cli_seconds(checkout: str) -> dict:
-    """Wall time of each CLI command at its default config, one fresh process each."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
-    out = {}
+def _cli_seconds(sides: dict, order: list) -> dict:
+    """Per checkout in ``order``, the median wall time of each CLI command at
+    its default config over CLI_PROCESSES fresh processes, each to a fresh
+    path; the checkouts alternate process by process, and which goes first
+    alternates too."""
+    times = {side: {command: [] for command in COMMANDS} for side in order}
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            cmd = [sys.executable, "-m", "openqsl", command, "--output", os.path.join(tmp, command)]
-            t = time.perf_counter()
-            subprocess.run(cmd, env=env, capture_output=True, check=True)
-            out[command] = time.perf_counter() - t
-    return out
+        for command, k in itertools.product(COMMANDS, range(CLI_PROCESSES)):
+            for side in order if k % 2 == 0 else order[::-1]:
+                env = {**os.environ, "PYTHONPATH": os.path.join(sides[side], "src")}
+                path = os.path.join(tmp, f"{side}-{command}-{k}")
+                t = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, "-m", "openqsl", command, "--output", path],
+                    env=env, capture_output=True, check=True,
+                )
+                times[side][command].append(time.perf_counter() - t)
+    return {side: {c: statistics.median(ts) for c, ts in cells.items()} for side, cells in times.items()}
 
 
 def _summary(runs: dict) -> dict:
@@ -363,10 +386,10 @@ def main(argv=None) -> int:
         order = list(sides)[::-1] if reverse else list(sides)
         orders.append({"sides": order, "grid": _grid(reverse)})
         for side in order:
-            result = _run_worker(sides[side], reverse)
-            result["cli_s"] = _cli_seconds(sides[side])
-            runs[side].append(result)
+            runs[side].append(_run_worker(sides[side], reverse))
             print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
+        for side, cells in _cli_seconds(sides, order).items():
+            runs[side][-1]["cli_s"] = cells
 
     record = {
         "machine": environment.record(ROOT, os.path.join(ROOT, "src")),
@@ -387,7 +410,7 @@ def main(argv=None) -> int:
             "verify_s": "s, one run",
             "cli_main_ms": "ms, median of repeated in-process cli.main calls",
             "cli_main_ms_min": "ms, minimum of the same calls",
-            "cli_s": "s, wall time of one fresh process",
+            "cli_s": f"s, median wall time of {CLI_PROCESSES} fresh processes, alternating checkouts",
             "table_ms": "ms, median of repeated cli._table calls on one command's rows",
             "table_ms_min": "ms, minimum of the same calls",
             "writer_ms": "ms, median of repeated writes of one table",
