@@ -22,12 +22,12 @@ Before a command runs, ``_check_reads`` rejects a sweep that it does not
 read and, for ``qsl``, ``qfi`` and ``evolve``, a preset's model parameter
 set or swept beside an inline model.
 
-Models come from ``config`` alone. ``qsl``, ``fig1a`` and ``scaling`` take
-their speed-limit scalars as columns from ``config.sweep_columns``, which
-builds no model for a preset, and evaluate the time bound row by row. The
-commands that integrate a model (``fig1b``, ``qfi``, ``evolve``, ``verify``)
-read ``compute_quantities`` on that model. The argument parser is built
-once per process, on the first call of ``main``.
+Models come from ``config``: ``qsl``, ``fig1a`` and ``scaling`` take their
+speed-limit scalars as columns from ``config.sweep_columns``, a preset's
+closed form, and evaluate the time bound row by row; ``fig1b``, ``qfi`` and
+``evolve`` integrate the model of ``config.build_model``, and ``verify``
+draws its own. The argument parser is built once per process, on the first
+call of ``main``.
 
 Exit codes: 0 success, 1 configuration error (a trajectory over the
 memory budget included), 2 integration-quality failure, 3 property
@@ -48,15 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, fisher, qsl, verify
-from .config import (
-    MODEL_PARAMETERS,
-    PRESET_DEFAULTS,
-    ExperimentConfig,
-    build_model,
-    load_config,
-    preset_model,
-    sweep_columns,
-)
+from .config import MODEL_PARAMETERS, ExperimentConfig, build_model, load_config, sweep_columns
 from .dynamics import evolve, first_passage_time, step_grid
 from .errors import (
     ConfigError,
@@ -65,7 +57,7 @@ from .errors import (
     ResourceLimitError,
     UnreachableTargetError,
 )
-from .models import EMISSION_DECAY_PER_GAMMA, exact_emission_time, scaling_exponent
+from .models import EMISSION_DECAY_PER_GAMMA, PRESETS, exact_emission_time, scaling_exponent
 
 FIG1A_OMEGAS = (0.01, 1.0, 4.0)
 # The parameters of scaling's product chains besides n, with their defaults.
@@ -292,10 +284,12 @@ def _fig1b_targets() -> list:
 
 def cmd_fig1b(cfg: ExperimentConfig, args) -> int:
     gamma = cfg.param("gamma", 1.0)
-    model, psi0 = preset_model("emission", {"gamma": gamma})
+    model, psi0 = build_model(ExperimentConfig(preset="emission", parameters=cfg.parameters))
     # All damping-model times scale as 1/gamma; stepping in scaled time
     # keeps the grid resolution identical across gamma values.
     horizon, dt = cfg.integrator(10.0, 1e-4)
+    if horizon / gamma == math.inf:  # gamma under about 5.6e-308 at the default horizon
+        raise ConfigError(f"[parameters] gamma: {gamma!r} scales the horizon {horizon!r} to inf")
     horizon, dt = horizon / gamma, dt / gamma
     q = qsl.compute_quantities(model, psi0)
     traj = evolve(model, psi0, horizon, dt)
@@ -439,7 +433,7 @@ def _check_reads(command: str, cfg: ExperimentConfig) -> None:
         return
     reads = COMMAND_SWEEPS.get(command, ())
     if command == "qsl" and cfg.inline is None:
-        reads += tuple(PRESET_DEFAULTS[cfg.preset or "emission"])
+        reads += tuple(PRESETS[cfg.preset or "emission"].defaults)
     if cfg.sweep_name not in reads:
         raise ConfigError(
             f"[sweep] name: {command} does not read {cfg.sweep_name!r}; "

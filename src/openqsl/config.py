@@ -25,11 +25,12 @@ One ``configparser.ConfigParser``, built on first use, serves every
 reading a small config; ``_read_ini`` empties it, reads a file and copies
 out its sections under one lock, so two threads never see each other's.
 
-Every preset model comes from ``preset_model``, which reports a parameter
-that breaks ``models.PARAMETER_RULES`` as a [parameters] ConfigError;
-``build_model`` feeds it the config's own parameters, or returns the
-inline model. ``sweep_columns`` reads a sweep's speed-limit scalars from
-the closed forms of ``models.PRESET_TERMS`` and builds no model.
+Every preset is a record of ``models.PRESETS``: its keys, defaults and
+rules, its model and its closed form. ``build_model`` builds a preset's
+model from the config's own parameters, reporting a value that breaks the
+preset's rules as a [parameters] ConfigError, or returns the inline model.
+``sweep_columns`` reads a sweep's speed-limit scalars from the preset's
+closed form and builds no model.
 """
 
 from __future__ import annotations
@@ -45,28 +46,11 @@ import numpy as np
 
 from .dynamics import TRAJECTORY_BYTE_CAP, LindbladModel
 from .errors import ConfigError
-from .models import (
-    EMISSION_GAMMA_RULE,
-    PARAMETER_RULES,
-    PRESET_TERMS,
-    DephasingQubitParams,
-    ProductModelParams,
-    dephasing_model,
-    product_model_dense,
-    spontaneous_emission_model,
-)
+from .models import PRESETS, Preset
 from .qsl import compute_quantities, v_coefficient
 
-# The [parameters] keys that each preset's model reads, with their
-# defaults; an inline model reads none.
-PRESET_DEFAULTS = {
-    "emission": {"gamma": 1.0},
-    "dephasing": {"omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
-    "product": {"n": 3, "omega": 1.0, "gamma": 1.0, "theta": math.pi / 4},
-}
-PRESETS = sorted(PRESET_DEFAULTS)
 # The model parameters of the presets, which an inline model does not read.
-MODEL_PARAMETERS = set().union(*PRESET_DEFAULTS.values())
+MODEL_PARAMETERS = set().union(*(preset.defaults for preset in PRESETS.values()))
 # What the commands require of the [parameters] keys they read directly, and
 # of sweep values over those keys; the model parameters (omega, gamma, theta
 # and n >= 1) are checked by their preset when a model is built.
@@ -366,40 +350,28 @@ def _inline_model(hamiltonian=None, lindblad_ops=(), psi0=None) -> tuple:
     return model, psi0 / nrm
 
 
-def _preset(cfg: ExperimentConfig) -> str | None:
-    """cfg's preset, or None for an inline model."""
-    if cfg.inline is not None:
-        return None
-    preset = cfg.preset or "emission"
-    if preset not in PRESET_DEFAULTS:
-        raise ConfigError(f"[model] preset: unknown preset {preset!r}")
-    return preset
-
-
-def preset_model(preset: str, params: dict):
-    """Construct (LindbladModel, psi0) of ``preset`` from ``params``, the
-    [parameters] that its model reads; a value that breaks the preset's
-    rules, or a product chain over the dense size cap, raises ConfigError."""
-    try:
-        if preset == "emission":
-            return spontaneous_emission_model(**params)
-        if preset == "dephasing":
-            return dephasing_model(DephasingQubitParams(**params))
-        return product_model_dense(ProductModelParams(**params))
-    except ValueError as exc:
-        raise ConfigError(f"[parameters]: {exc}")
+def _preset(cfg: ExperimentConfig) -> Preset:
+    """The record of cfg's preset, which defaults to emission."""
+    name = cfg.preset or "emission"
+    if name not in PRESETS:
+        raise ConfigError(f"[model] preset: unknown preset {name!r}")
+    return PRESETS[name]
 
 
 def build_model(cfg: ExperimentConfig):
     """cfg's (LindbladModel, psi0): its inline model, built and checked by
-    ``load_config``, or its preset's by ``preset_model`` from the
-    [parameters] that the preset reads, each checked against its key's
-    domain first."""
+    ``load_config``, or its preset's model at the [parameters] that the
+    preset reads, each checked against its key's domain first. A value
+    that breaks the preset's rules, or a product chain over the dense size
+    cap, raises a [parameters] ConfigError."""
     if cfg.inline is not None:
         return cfg.inline
     preset = _preset(cfg)
-    params = {key: cfg.param(key, default) for key, default in PRESET_DEFAULTS[preset].items()}
-    return preset_model(preset, params)
+    params = {key: cfg.param(key, default) for key, default in preset.defaults.items()}
+    try:
+        return preset.model(**params)
+    except ValueError as exc:
+        raise ConfigError(f"[parameters]: {exc}")
 
 
 def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
@@ -407,29 +379,33 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
     (equal-length lists of values keyed by parameter name, which replace
     the config's own) as four lists: delta_h0, g_term, e_term and v_coeff.
 
-    A preset's row is its closed form in ``models.PRESET_TERMS`` at the
-    row's parameters; every row of an inline model is its one
-    ``compute_quantities``. A column the model does not read, such as
-    theta_target, changes no scalar. The first row that breaks its
-    preset's rules, in the preset's order, raises that rule's ConfigError
-    before any row is evaluated, and a row whose terms or v = 2 delta_h0 +
-    sqrt(2) g_term overflow a float raises a [parameters] one naming it.
+    A preset's row is its closed form ``terms`` at the row's parameters;
+    every row of an inline model is its one ``compute_quantities``, and
+    inline scalars that overflow a float raise a [model] ConfigError. A
+    column the model does not read, such as theta_target, changes no
+    scalar. The first row that breaks its preset's rules, in the preset's
+    order, raises that rule's ConfigError before any row is evaluated, and
+    a row whose terms or v = 2 delta_h0 + sqrt(2) g_term overflow a float
+    raises a [parameters] one naming it.
     """
     rows = len(next(iter(columns.values())))
-    preset = _preset(cfg)
-    if preset is None:
-        q = compute_quantities(*cfg.inline)
+    if cfg.inline is not None:
+        with np.errstate(all="ignore"):
+            q = compute_quantities(*cfg.inline)
+        if not (math.isfinite(q.v_coeff) and math.isfinite(q.e_term)):  # v sums the others
+            raise ConfigError("[model] hamiltonian/lindblad_ops: speed-limit terms overflow a float")
         params, terms = {}, [(q.delta_h0, q.g_term, q.e_term)] * rows
     else:
+        preset = _preset(cfg)
         # Every parameter the model reads, as a column: swept, or fixed.
         params = {
             key: columns[key] if key in columns else [cfg.param(key, default)] * rows
-            for key, default in PRESET_DEFAULTS[preset].items()
+            for key, default in preset.defaults.items()
         }
         # The first row that breaks a rule; a fixed value is checked on row 0.
         bad, problem = rows, None
         for key, values in params.items():
-            test, message = EMISSION_GAMMA_RULE if preset == "emission" else PARAMETER_RULES[key]
+            test, message = preset.rules[key]
             checked = values if key in columns else values[:1]
             first = next((i for i, v in enumerate(checked) if not test(v)), rows)
             if first < bad:
@@ -437,7 +413,7 @@ def sweep_columns(cfg: ExperimentConfig, columns: dict) -> tuple:
         if problem is not None:
             raise ConfigError(f"[parameters]: {problem}")
         try:
-            terms = list(map(PRESET_TERMS[preset], *params.values()))
+            terms = list(map(preset.terms, *params.values()))
         except ValueError as exc:  # a product chain's terms overflow
             raise ConfigError(f"[parameters]: {exc}")
 

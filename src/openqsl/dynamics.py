@@ -620,7 +620,8 @@ def first_passage_time(traj: Trajectory, theta_target: float) -> float:
 
     Scans the grid for the first crossing (the angle may be non-monotonic,
     e.g. under Rabi oscillation) and refines it by bisection over a partial
-    RK4 step tau from the bracketing state, down to 1e-8 in time. The
+    RK4 step tau from the bracketing state, down to 1e-8 in time or to two
+    adjacent floats, whichever is wider. The
     overlap with the initial state after that step is the scalar polynomial
     sum_k tau^k c_k, c_k = Re<rho0, T_k>, so the Taylor terms are built once
     per call and each bisection step is scalar arithmetic.
@@ -653,14 +654,15 @@ def first_passage_time(traj: Trajectory, theta_target: float) -> float:
         # Borderline grid hit (float-level): the grid time is the answer.
         return float(traj.times[idx])
 
-    lo, hi = 0.0, h
-    while hi - lo > FIRST_PASSAGE_RESOLUTION:
-        mid = 0.5 * (lo + hi)
+    # A step over about 4.5e7 has no float strictly between ends 1e-8 apart.
+    lo, hi, mid = 0.0, h, 0.5 * h
+    while hi - lo > FIRST_PASSAGE_RESOLUTION and lo < mid < hi:
         if angle_after(mid) >= theta_target:
             hi = mid
         else:
             lo = mid
-    return float(traj.times[idx - 1] + 0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+    return float(traj.times[idx - 1] + mid)
 
 
 def theta_dot_exact(model: LindbladModel, rho0: np.ndarray, rho_t, theta_t):
@@ -685,5 +687,5 @@ def theta_dot_exact(model: LindbladModel, rho0: np.ndarray, rho_t, theta_t):
         w -= _dissipate(*model._jumps, rho0, adjoint=True)
     if np.shape(rho_t) != theta_t.shape + w.shape:
         raise DimensionMismatchError(f"states {np.shape(rho_t)} mismatch angles {theta_t.shape}")
-    num = (np.reshape(rho_t, theta_t.shape + (-1,)) @ w.T.reshape(-1)).real
+    num = (np.reshape(rho_t, theta_t.shape + (w.size,)) @ w.T.reshape(-1)).real
     return num / np.sin(2.0 * theta_t)

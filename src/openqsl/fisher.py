@@ -47,6 +47,8 @@ def qfi_short_time(fidelity: float, t: float) -> float:
     information of the time parameter if e = 0, and 4 times it if e > 0."""
     if not t > 0.0:
         raise ValueError("t must be positive")
+    if t * t == 0.0:  # below about 1.5e-162
+        raise ValueError(f"t = {t!r} is too small: t^2 underflows to 0")
     if not (-1e-12 <= fidelity <= 1.0 + 1e-12):
         raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
     f = min(max(fidelity, 0.0), 1.0)
@@ -84,12 +86,14 @@ def _satisfied(estimate: float, bound: float) -> bool:
 
 def time_grid(t_grid) -> list[float]:
     """t_grid as floats; raises ValueError unless it is nonempty, positive
-    and strictly increasing."""
+    and strictly increasing, and its first t^2 is positive too."""
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid is empty")
     if not all(t > 0.0 for t in t_grid) or not all(b > a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be positive and strictly increasing")
+    if t_grid[0] * t_grid[0] == 0.0:  # qfi_short_time divides by it
+        raise ValueError(f"t = {t_grid[0]!r} is too small: t^2 underflows to 0")
     return t_grid
 
 

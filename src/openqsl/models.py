@@ -2,15 +2,16 @@
 locally-dephased N-qubit product chain, H = sum_i (omega/2) sigma_z^(i),
 L_i = sqrt(gamma) sigma_x^(i), from n Bloch states of polar angle theta.
 
-Each preset's speed-limit scalars (delta_h0, g_term, e_term) have a closed
-form in its own parameters, next to its constructor, and ``PRESET_TERMS``
-maps each preset name to it. No rate is squared, so finite rates give
-finite terms; only the chain's n can overflow them.
+``PRESETS`` holds each preset in one ``Preset`` record: its [parameters]
+keys, defaults and rules, its dense model and the closed form of its
+speed-limit scalars. No rate is squared in a closed form, so finite rates
+give finite terms; only the chain's n can overflow them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -205,9 +206,34 @@ def product_quantities_analytic(p: ProductModelParams) -> QslQuantities:
     return QslQuantities.from_terms(*product_terms(p.n, p.omega, p.gamma, p.theta))
 
 
-# Each preset's closed-form (delta_h0, g_term, e_term), taking the
-# [parameters] of config.PRESET_DEFAULTS in its order.
-PRESET_TERMS = {"emission": emission_terms, "dephasing": dephasing_terms, "product": product_terms}
+@dataclass(frozen=True)
+class Preset:
+    """A preset's [parameters] defaults, in the argument order of ``model``
+    (keywords) and ``terms``; each key's (test, message) rule; its
+    (LindbladModel, psi0), ValueError on a broken rule; its closed form."""
+
+    defaults: dict
+    rules: dict
+    model: Callable
+    terms: Callable
+
+
+_QUBIT_DEFAULTS = {"omega": 1.0, "gamma": 1.0, "theta": math.pi / 4}
+# Sorted by name. A model looks its constructor up when called, so patches and traces apply.
+PRESETS = {
+    "dephasing": Preset(
+        _QUBIT_DEFAULTS, {key: PARAMETER_RULES[key] for key in _QUBIT_DEFAULTS},
+        lambda **p: dephasing_model(DephasingQubitParams(**p)), dephasing_terms,
+    ),
+    "emission": Preset(
+        {"gamma": 1.0}, {"gamma": EMISSION_GAMMA_RULE},
+        lambda gamma: spontaneous_emission_model(gamma), emission_terms,
+    ),
+    "product": Preset(
+        {"n": 3, **_QUBIT_DEFAULTS}, {key: PARAMETER_RULES[key] for key in ("n", *_QUBIT_DEFAULTS)},
+        lambda **p: product_model_dense(ProductModelParams(**p)), product_terms,
+    ),
+}
 
 
 def scaling_exponent(samples) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from . import fisher, qsl
 from .dynamics import LindbladModel, evolve, first_passage_time, theta_dot_exact
 from .errors import UnreachableTargetError
-from .models import DephasingQubitParams, ProductModelParams, dephasing_model, product_model_dense, spontaneous_emission_model
+from .models import PRESETS
 
 # Suite settings. Trajectory-based margins carry integrator error, so they
 # get a looser tolerance than the closed-form scalar checks.
@@ -118,22 +118,12 @@ def bound_dominance(
     return result
 
 
-def _preset_trajectories(dt: float, t_end: float):
-    dephasing = dephasing_model(DephasingQubitParams(omega=1.0, gamma=1.0, theta=math.pi / 4))
-    emission = spontaneous_emission_model(gamma=1.0)
-    product = product_model_dense(ProductModelParams(n=3, omega=1.0, gamma=1.0, theta=math.pi / 4))
-    return {
-        "dephasing": (dephasing, evolve(*dephasing, t_end, dt)),
-        "emission": (emission, evolve(*emission, t_end, dt)),
-        "product": (product, evolve(*product, t_end, dt)),
-    }
-
-
 def differential_dominance() -> PropertyResult:
-    """Exact angle rate stays under its bound along every preset trajectory."""
+    """Exact angle rate stays under its bound along every preset's default trajectory."""
     result = PropertyResult("differential_dominance")
-    trajectories = _preset_trajectories(DIFFERENTIAL_DT, DIFFERENTIAL_T_END)
-    for name, ((model, psi0), traj) in trajectories.items():
+    for name, preset in PRESETS.items():
+        model, psi0 = preset.model(**preset.defaults)
+        traj = evolve(model, psi0, DIFFERENTIAL_T_END, DIFFERENTIAL_DT)
         quantities = qsl.compute_quantities(model, psi0)
         angles = traj.bures_angles
         interior = angles[1:-1]

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from openqsl import cli, config, dynamics, qsl, verify
+from openqsl import cli, config, dynamics, models, qsl, verify
 from openqsl.config import ExperimentConfig, build_model, load_config
 from openqsl.errors import FrozenDynamicsError
 from openqsl.models import ProductModelParams, product_quantities_analytic
@@ -88,6 +88,54 @@ class TestExitCodes:
         assert run(tmp_path, "qsl", "--config", write_config(tmp_path, text)) == 1
         assert capsys.readouterr().err.startswith("config error: [")
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            # the scaled horizon 10/gamma past the float range
+            ("fig1b", "[parameters]\ngamma = 1e-310", "[parameters] gamma: 1e-310 scales the horizon"),
+            ("fig1b", "[parameters]\ngamma = 5e-324", "[parameters] gamma: 5e-324 scales the horizon"),
+            # t^2 underflows to 0
+            ("qfi", "[sweep]\nname = t\nvalues = 1e-170", "[sweep] values: t = 1e-170 is too small"),
+            # inline matrices whose speed-limit terms overflow, with numpy's
+            # warnings as errors (pyproject.toml)
+            (
+                "qsl",
+                "[model]\nhamiltonian = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]\n"
+                "psi0 = [[0.6, 0], [0.8, 0]]\n"
+                "lindblad_ops = [[[[1e160, 0], [0, 0]], [[0, 0], [0, 0]]]]",
+                "[model] hamiltonian/lindblad_ops: ",
+            ),
+            (
+                "qsl",
+                "[model]\nhamiltonian = [[[1e200, 0], [0, 0]], [[0, 0], [-1e200, 0]]]\n"
+                "psi0 = [[0.6, 0], [0.8, 0]]",
+                "[model] hamiltonian/lindblad_ops: ",
+            ),
+        ],
+        ids=["fig1b-gamma-1e-310", "fig1b-gamma-5e-324", "qfi-t-1e-170", "inline-ops", "inline-h"],
+    )
+    def test_float_range_edge_is_one_config_error_line(self, tmp_path, capsys, command, text, where):
+        assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}") and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_fig1b_at_a_tiny_gamma_ends_and_scales(self, tmp_path):
+        # Steps of 1e9 time units, where no float lies between bisection
+        # ends 1e-8 apart; a child process with a timeout turns a hang into
+        # a failure. Every time scales as 1/gamma.
+        tiny = tmp_path / "tiny.csv"
+        path = write_config(tmp_path, "[parameters]\ngamma = 1e-13\n")
+        assert run_process("fig1b", "--config", path, "--output", str(tiny), timeout=10) == 0
+        assert run(tmp_path, "fig1b") == 0
+        with tiny.open() as a, (tmp_path / "out.csv").open() as b:
+            for scaled, unit in zip(csv.DictReader(a), csv.DictReader(b), strict=True):
+                assert scaled["theta_target"] == unit["theta_target"]
+                t_fp = float(scaled["t_first_passage"]) * 1e-13
+                assert t_fp == pytest.approx(float(unit["t_first_passage"]), rel=0.0, abs=1e-8)
+                for key in ("t_exa", "t_qsl"):
+                    assert float(scaled[key]) * 1e-13 == pytest.approx(float(unit[key]), rel=1e-14)
 
     def test_unstable_integration_exits_two(self, tmp_path, capsys):
         config = write_config(
@@ -774,7 +822,8 @@ class TestRateScaledSweeps:
         def unreachable(*args, **kwargs):
             raise AssertionError("a model was built or evaluated")
 
-        monkeypatch.setattr(config, "preset_model", unreachable)
+        for constructor in ("dephasing_model", "spontaneous_emission_model", "product_model_dense"):
+            monkeypatch.setattr(models, constructor, unreachable)
         monkeypatch.setattr(config, "compute_quantities", unreachable)
         monkeypatch.setattr(dynamics.LindbladModel, "__post_init__", unreachable)
         assert run(tmp_path, command, "--config", write_config(tmp_path, text + "\n")) == 0

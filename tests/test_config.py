@@ -195,8 +195,9 @@ class TestSweepColumns:
         assert [len(column) for column in got] == [rows] * 4
         for i in range(rows):
             row = {**fixed, **{key: values[i] for key, values in columns.items()}}
-            params = [row.get(key, default) for key, default in config.PRESET_DEFAULTS[preset].items()]
-            delta_h0, g_term, e_term = models.PRESET_TERMS[preset](*params)
+            defaults = models.PRESETS[preset].defaults
+            params = [row.get(key, default) for key, default in defaults.items()]
+            delta_h0, g_term, e_term = models.PRESETS[preset].terms(*params)
             assert [column[i] for column in got] == [
                 delta_h0, g_term, e_term, qsl.v_coefficient(delta_h0, g_term)
             ]

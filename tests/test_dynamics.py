@@ -1,5 +1,8 @@
 import functools
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -1235,6 +1238,24 @@ class TestFirstPassage:
         with pytest.raises(UnreachableTargetError):
             first_passage_time(traj, 1.5)
 
+    def test_step_without_floats_between_bisection_ends(self):
+        # Near a step of 1e9 floats lie 1.2e-7 apart, so bisection ends 1e-8
+        # apart never meet; it stops at adjacent floats. A child process with
+        # a timeout turns a hang into a failure.
+        code = (
+            "from openqsl import evolve, first_passage_time, spontaneous_emission_model\n"
+            "traj = evolve(*spontaneous_emission_model(1e-13), 1e14, 1e9)\n"
+            "print(repr(first_passage_time(traj, 0.5)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert out.returncode == 0, out.stderr
+        # the closed form -ln(cos^2 Theta)/gamma, to the resolution of the grid
+        assert float(out.stdout) * 1e-13 == pytest.approx(-np.log(np.cos(0.5) ** 2), abs=1e-7)
+
     def test_domain_validation(self):
         model, psi0 = spontaneous_emission_model(1.0)
         traj = evolve(model, psi0, 1.0, 1e-2)
@@ -1354,6 +1375,13 @@ class TestThetaDotExact:
             thetas[7] = bad
             with pytest.raises(SingularPointError, match=re.escape(f"theta = {bad:.3e} ")):
                 theta_dot_exact(model, traj.rho0, traj.states[ks], thetas)
+
+    def test_empty_stack_gives_no_rates(self):
+        # a trajectory with no angle inside verify's window
+        model, psi0 = spontaneous_emission_model(1.0)
+        traj = evolve(model, psi0, 0.1, 1e-2)
+        rates = theta_dot_exact(model, traj.rho0, traj.states[:0], traj.bures_angles[:0])
+        assert rates.shape == (0,)
 
     def test_stack_length_must_match_angles(self):
         model, psi0 = spontaneous_emission_model(1.0)

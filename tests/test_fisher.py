@@ -38,6 +38,14 @@ class TestQfiShortTime:
         with pytest.raises(ValueError):
             fisher.qfi_short_time(0.5, t)
 
+    def test_rejects_time_whose_square_underflows(self):
+        # 1e-160 squares to a subnormal, 1e-170 to 0
+        assert fisher.qfi_short_time(1.0, 1e-160) == 0.0
+        with pytest.raises(ValueError, match="^t = 1e-170 is too small: t\\^2 underflows to 0$"):
+            fisher.qfi_short_time(0.5, 1e-170)
+        with pytest.raises(ValueError, match="^t = 1e-170 is too small"):
+            fisher.time_grid([1e-170, 1e-3])
+
     @pytest.mark.parametrize("fidelity", [-1e-6, 1.0 + 1e-6, -0.5, 2.0, math.nan])
     def test_rejects_fidelity_outside_unit_interval(self, fidelity):
         with pytest.raises(ValueError):

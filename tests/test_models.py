@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from openqsl import cli
-from openqsl.config import PRESET_DEFAULTS, preset_model
 from openqsl.dynamics import evolve
 from openqsl.errors import ResourceLimitError
 from openqsl.models import (
     EMISSION_DECAY_PER_GAMMA,
-    PRESET_TERMS,
+    PRESETS,
     PRODUCT_DENSE_MAX_QUBITS,
     ProductModelParams,
     product_model_dense,
@@ -84,16 +83,24 @@ def random_preset_params(rng, preset: str, k: int) -> dict:
         "gamma": lambda: 0.0 if k % 5 == 0 and preset != "emission" else 10.0 ** rng.uniform(-2.0, 2.0),
         "theta": lambda: (0.0, math.pi / 2, math.pi)[k % 3] if k % 2 == 0 else rng.uniform(0.0, math.pi),
     }
-    return {key: draw[key]() for key in PRESET_DEFAULTS[preset]}
+    return {key: draw[key]() for key in PRESETS[preset].defaults}
 
 
 class TestPresetTerms:
-    def test_table_follows_the_preset_defaults(self):
-        assert list(PRESET_TERMS) == list(PRESET_DEFAULTS)
-        for preset, terms in PRESET_TERMS.items():
-            assert list(inspect.signature(terms).parameters) == list(PRESET_DEFAULTS[preset])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_record_follows_its_defaults(self, preset):
+        record = PRESETS[preset]
+        keys = list(record.defaults)
+        assert list(inspect.signature(record.terms).parameters) == keys
+        assert list(record.rules) == keys
+        model, psi0 = record.model(**record.defaults)
+        assert psi0.shape == (model.dim,)
 
-    @pytest.mark.parametrize("preset", sorted(PRESET_DEFAULTS))
+    def test_names_are_sorted(self):
+        # the order of the load_config message and of differential_dominance
+        assert list(PRESETS) == sorted(PRESETS) == ["dephasing", "emission", "product"]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_closed_forms_match_the_dense_model(self, preset):
         # compute_quantities sums up to 2^6 rounded entries per term, and
         # some terms vanish with cos(theta) or sin(theta) while their rate
@@ -104,8 +111,8 @@ class TestPresetTerms:
         rng = random.Random(26)
         for k in range(300):
             params = random_preset_params(rng, preset, k)
-            got = PRESET_TERMS[preset](*params.values())
-            q = compute_quantities(*preset_model(preset, params))
+            got = PRESETS[preset].terms(*params.values())
+            q = compute_quantities(*PRESETS[preset].model(**params))
             n, gamma = params.get("n", 1), params["gamma"]
             scales = (params.get("omega", 0.0) * math.sqrt(n), gamma * (n + 1), gamma * n)
             for term, want, scale in zip(got, (q.delta_h0, q.g_term, q.e_term), scales):

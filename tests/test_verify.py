@@ -1,7 +1,9 @@
 import math
 
-from openqsl import verify
-from openqsl.dynamics import theta_dot_exact
+import numpy as np
+
+from openqsl import models, verify
+from openqsl.dynamics import LindbladModel, theta_dot_exact
 from openqsl.verify import PropertyResult
 
 
@@ -72,6 +74,31 @@ class TestDifferentialDominance:
         assert result.passed, result.violations
         assert len(calls) == 3
         assert sum(shape[0] for shape in calls) == result.checked
+
+    def test_a_preset_added_to_the_table_is_checked(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return theta_dot_exact(*args)
+
+        # A copy of emission under a new name, and a preset that never moves,
+        # so its trajectory has no interior point to check.
+        frozen = models.Preset(
+            defaults={},
+            rules={},
+            model=lambda: (LindbladModel(hamiltonian=np.zeros((2, 2))), np.array([1.0, 0.0])),
+            terms=lambda: (0.0, 0.0, 0.0),
+        )
+        monkeypatch.setattr(verify, "theta_dot_exact", counted)
+        monkeypatch.setitem(models.PRESETS, "emission_again", models.PRESETS["emission"])
+        monkeypatch.setitem(models.PRESETS, "frozen", frozen)
+        result = verify.differential_dominance()
+        assert len(calls) == 5
+        assert calls[3] == calls[1] and calls[4] == (0, 2, 2)
+        assert sum(shape[0] for shape in calls) == result.checked
+        assert [v["preset"] for v in result.violations] == ["frozen"]
+        assert result.violations[0]["error"].startswith("only 0 interior sample points")
 
     def test_ceiling_without_fluctuation_term_is_reported(self, monkeypatch):
         # Mutant of the bound that drops e: (v sin(theta) + e)/sin(2 theta)
