@@ -24,7 +24,8 @@ set or swept beside an inline model.
 
 Models come from ``config``: ``qsl``, ``fig1a`` and ``scaling`` take their
 speed-limit scalars as columns from ``config.sweep_columns``, a preset's
-closed form, and evaluate the time bound row by row; ``fig1b``, ``qfi`` and
+closed form, and call the bound formulas of ``qsl`` on each row, with the
+sine of each checked target taken once. ``fig1b``, ``qfi`` and
 ``evolve`` integrate the model of ``config.build_model``, and ``verify``
 draws its own. The argument parser is built once per process, on the first
 call of ``main``.
@@ -43,7 +44,6 @@ import os
 import stat
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,14 +62,6 @@ from .models import EMISSION_DECAY_PER_GAMMA, PRESETS, exact_emission_time, scal
 FIG1A_OMEGAS = (0.01, 1.0, 4.0)
 # The parameters of scaling's product chains besides n, with their defaults.
 SCALING_DEFAULTS = {"omega": 0.1, "gamma": 10.0, "theta": math.pi / 4}
-
-
-class _Speeds(NamedTuple):
-    """What ``qsl.t_qsl`` and ``qsl.qsl_lower_bound`` read of a
-    ``QslQuantities``: one row of ``sweep_columns``."""
-
-    v_coeff: float
-    e_term: float
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +225,16 @@ def cmd_qsl(cfg: ExperimentConfig, args) -> int:
     theta_target = cfg.param("theta_target", math.pi / 4)
     sweep_key = cfg.sweep_name or "theta_target"
     values = cfg.sweep() if cfg.sweep_name else [theta_target]
-    targets = values if sweep_key == "theta_target" else [theta_target] * len(values)
     columns = sweep_columns(cfg, {sweep_key: values})
+    # cfg.param or cfg.sweep checked each target against (0, pi/2], t_qsl's own interval
+    sine = math.sin(theta_target)
+    sines = list(map(math.sin, values)) if sweep_key == "theta_target" else [sine] * len(values)
 
     rows = []
-    for value, target, delta_h0, g_term, e_term, v_coeff in zip(values, targets, *columns):
-        speeds = _Speeds(v_coeff, e_term)
+    for value, s, delta_h0, g_term, e_term, v_coeff in zip(values, sines, *columns):
         try:
-            bound = qsl.t_qsl(speeds, target)
-            lower = qsl.qsl_lower_bound(speeds, target)
+            bound = qsl._bound_integral(v_coeff, e_term, s)
+            lower = qsl._floor(v_coeff, e_term, s)
             status = "ok"
         except FrozenDynamicsError:
             bound, lower, status = None, None, "frozen_dynamics"
@@ -268,7 +261,8 @@ def cmd_fig1a(cfg: ExperimentConfig, args) -> int:
             "gamma": gammas * len(FIG1A_OMEGAS),
         },
     )
-    times = [qsl.t_qsl(_Speeds(v, e), theta_target) for v, e in zip(v_coeff, e_term)]
+    s = math.sin(theta_target)  # cfg.param checked it against (0, pi/2], as t_qsl would
+    times = [qsl._bound_integral(v, e, s) for v, e in zip(v_coeff, e_term)]
 
     points = len(gammas)
     rows = [[gamma, *times[k::points]] for k, gamma in enumerate(gammas)]
@@ -315,9 +309,10 @@ def cmd_scaling(cfg: ExperimentConfig, args) -> int:
     )
 
     columns = sweep_columns(chain, {"n": n_values})
+    s = math.sin(theta_target)  # cfg.param checked it against (0, pi/2], as t_qsl would
     try:
         samples = [
-            (n, qsl.t_qsl(_Speeds(v, e), theta_target)) for n, e, v in zip(n_values, *columns[2:])
+            (n, qsl._bound_integral(v, e, s)) for n, e, v in zip(n_values, *columns[2:])
         ]
         for n, t in samples:
             if t == math.inf:  # 2s/v past the float range, as for a subnormal omega

@@ -5,7 +5,8 @@ matrices (dim <= 4096) and state vectors. The kernel surface is input
 coercion and checks (``as_matrix``, ``pure_state``, shape agreement,
 finiteness, ``hermiticity_deviation``), the products the generator and the
 bound are built from (``commutator``, ``trace_product``, ``kron`` under
-``KRON_DIM_CAP``, ``projector``) and ``frobenius_norm``. There is
+``KRON_DIM_CAP``, ``projector``), ``frobenius_norm`` and ``root_sum_squares``,
+which keeps a norm of tiny entries from underflowing. There is
 deliberately no sparse path and no decomposition layer: positivity of
 integrated states is checked in ``dynamics``, where the states are.
 """
@@ -13,6 +14,7 @@ integrated states is checked in ``dynamics``, where the states are.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from .errors import DimensionMismatchError, ResourceLimitError
 
 STATE_NORM_TOL = 1e-12
 KRON_DIM_CAP = 4096
+# A sum of squares below this may have lost entries to underflow (x^2 is 0
+# for |x| under about 1.5e-162) or bits to subnormal squares.
+TINY_SQUARE_SUM = sys.float_info.min / sys.float_info.epsilon
 
 
 def as_matrix(m) -> np.ndarray:
@@ -35,9 +40,23 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def root_sum_squares(total: float, x: np.ndarray) -> float:
+    """sqrt(total), where ``total`` is the sum of |x_i|^2 as the caller
+    summed it. A total under TINY_SQUARE_SUM while some x_i is nonzero is
+    summed again on x divided by its largest |x_i|, and the root scaled back."""
+    if total < TINY_SQUARE_SUM:
+        scaled = np.abs(x)
+        big = float(scaled.max(initial=0.0))
+        if big > 0.0:
+            scaled /= big
+            return big * math.sqrt(float((scaled * scaled).sum()))
+    return math.sqrt(total)
+
+
 def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt(Tr(m^dag m)); zero iff m is the zero matrix."""
-    return float(np.sqrt((np.abs(m) ** 2).sum()))
+    """sqrt(Tr(m^dag m)); zero iff m is the zero matrix, also for entries
+    whose squares underflow."""
+    return root_sum_squares(float((np.abs(m) ** 2).sum()), m)
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -14,7 +14,8 @@ The evolution-time bound integrates the differential angle bound
 (v sin(theta) + e)/sin(2 theta) in closed form,
 t = (s^2/e) * 2 phi(x) with s = sin(Theta), x = v s/e and
 phi(x) = (x - log1p(x))/x^2; ``f_ratio`` is the same integral expressed
-through the ratio r = v/e.
+through the ratio r = v/e. ``t_qsl`` and ``qsl_lower_bound`` are the checked
+entry points over ``_bound_integral`` and ``_floor``, formulas of v, e and s.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def compute_quantities(model: LindbladModel, psi0) -> QslQuantities:
     # noise the way <A^dag A> - |<A>|^2 does when psi is nearly an eigenstate.
     dev = h @ psi0
     dev -= np.vdot(psi0, dev).real * psi0
-    delta_h0 = math.sqrt(float(np.vdot(dev, dev).real))
+    delta_h0 = linalg.root_sum_squares(float(np.vdot(dev, dev).real), dev)
 
     rho0 = linalg.projector(psi0)
     g_term = linalg.frobenius_norm(_dissipate(*model._jumps, rho0, adjoint=True))
@@ -109,7 +110,7 @@ def _bound_integral(v: float, e: float, s: float) -> float:
 
 
 def t_qsl(q: QslQuantities, theta_target: float) -> float:
-    """Minimum evolution time to reach the target Bures angle."""
+    """Minimum time to reach the target Bures angle; ``_bound_integral`` at a checked target."""
     if not (0.0 < theta_target <= np.pi / 2):
         raise ValueError(f"theta_target = {theta_target!r} outside (0, pi/2]")
     return _bound_integral(q.v_coeff, q.e_term, math.sin(theta_target))
@@ -141,10 +142,14 @@ def f_ratio(r: float, theta_target: float) -> float:
     return r * _bound_integral(r, 1.0, _target_sine(theta_target))
 
 
-def qsl_lower_bound(q: QslQuantities, theta_target: float) -> float:
-    """Algebraic floor sin^2(Theta)/(e + v sin(Theta)) under the time bound."""
-    s = _target_sine(theta_target)
-    den = q.e_term + q.v_coeff * s
+def _floor(v: float, e: float, s: float) -> float:
+    """Algebraic floor s^2/(e + v s) under the time bound, with s = sin(Theta)."""
+    den = e + v * s
     if den <= 0.0:
         raise FrozenDynamicsError("generator has zero speed; target unreachable")
     return s * s / den
+
+
+def qsl_lower_bound(q: QslQuantities, theta_target: float) -> float:
+    """Floor sin^2(Theta)/(e + v sin(Theta)) under t_qsl: ``_floor`` at a checked target."""
+    return _floor(q.v_coeff, q.e_term, _target_sine(theta_target))

@@ -864,3 +864,112 @@ class TestRateScaledSweeps:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2**20
+
+
+def checked_bounds(q, target):
+    """The t_qsl, t_lower and status cells of a qsl row, from the checked
+    entry points qsl.t_qsl and qsl.qsl_lower_bound."""
+    try:
+        return [qsl.t_qsl(q, target), qsl.qsl_lower_bound(q, target), "ok"]
+    except FrozenDynamicsError:
+        return [None, None, "frozen_dynamics"]
+
+
+class TestRowsCallTheBoundFormulas:
+    """qsl, fig1a and scaling call the formulas under qsl.t_qsl and
+    qsl.qsl_lower_bound with each target's sine taken once; every cell is
+    still bit for bit what the checked entry points give. A 17-digit cell
+    spells one double, so equal strings are equal bits."""
+
+    @pytest.mark.parametrize(
+        "text, statuses",
+        [
+            (
+                "[model]\npreset = dephasing\n[parameters]\nomega = 2.5\ntheta = 0.7\n"
+                "[sweep]\nname = theta_target\nvalues = 0.1, 0.8, 1.2, 1.5707963267948966",
+                ["ok"] * 4,
+            ),
+            (
+                "[model]\npreset = dephasing\n[parameters]\nomega = 2.5\ntheta = 0.7\n"
+                "theta_target = 1.1\n[sweep]\nname = gamma\nvalues = 0.001, 0.37, 1, 250",
+                ["ok"] * 4,
+            ),
+            (
+                "[model]\npreset = product\n[parameters]\ntheta = 0\ntheta_target = 0.3\n"
+                "[sweep]\nname = gamma\nvalues = 0, 0.5, 2",
+                ["frozen_dynamics", "ok", "ok"],
+            ),
+        ],
+        ids=["theta_target", "gamma", "frozen"],
+    )
+    def test_qsl_rows(self, tmp_path, text, statuses):
+        path = write_config(tmp_path, text + "\n")
+        assert run(tmp_path, "qsl", "--config", path) == 0
+        cfg = load_config(path)
+        columns = config.sweep_columns(cfg, {cfg.sweep_name: cfg.sweep_values})
+        rows = read_csv(tmp_path / "out.csv")
+        assert len(rows) == len(cfg.sweep_values)
+        for i, (row, value) in enumerate(zip(rows, cfg.sweep_values)):
+            target = value if cfg.sweep_name == "theta_target" else cfg.param("theta_target", 0.0)
+            q = qsl.QslQuantities.from_terms(*(column[i] for column in columns[:3]))
+            assert row[4:] == [cli._fmt(x) for x in [q.v_coeff, *checked_bounds(q, target)]]
+        assert [row[-1] for row in rows] == statuses
+
+    def test_fig1a_cells(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "[parameters]\ntheta = 1.1\ntheta_target = 0.6\n"
+            "gamma_min = 1e-4\ngamma_max = 1e4\ngamma_points = 17\n",
+        )
+        assert run(tmp_path, "fig1a", "--config", path) == 0
+        rows = read_csv(tmp_path / "out.csv")
+        assert len(rows) == 17
+        terms = models.PRESETS["dephasing"].terms
+        for row in rows:
+            gamma = float(row[0])
+            want = [
+                qsl.t_qsl(qsl.QslQuantities.from_terms(*terms(omega, gamma, 1.1)), 0.6)
+                for omega in cli.FIG1A_OMEGAS
+            ]
+            assert row[1:] == [cli._fmt(t) for t in want]
+
+    def test_scaling_rows(self, tmp_path):
+        path = write_config(tmp_path, "[parameters]\ntheta_target = 0.9\n")
+        assert run(tmp_path, "scaling", "--config", path) == 0
+        rows = read_csv(tmp_path / "out.csv")
+        assert [row[0] for row in rows] == ["64", "128", "256", "512", "1024", "exponent"]
+        terms = models.PRESETS["product"].terms
+        for n, t in rows[:-1]:
+            q = qsl.QslQuantities.from_terms(*terms(int(n), *cli.SCALING_DEFAULTS.values()))
+            assert t == cli._fmt(qsl.t_qsl(q, 0.9))
+
+
+class TestTinyScalars:
+    """Speed-limit scalars of a model whose entries square below the float
+    range: the sums of squares are taken again on scaled entries."""
+
+    def test_inline_model_of_tiny_energies_moves(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "[model]\nhamiltonian = [[[1e-200, 0], [0, 0]], [[0, 0], [-1e-200, 0]]]\n"
+            "psi0 = [[0.7071067811865476, 0], [0.7071067811865476, 0]]\n",
+        )
+        assert run(tmp_path, "qsl", "--config", path) == 0
+        ((_, delta_h0, g_term, e_term, v_coeff, t, lower, status),) = read_csv(tmp_path / "out.csv")
+        assert status == "ok"
+        assert float(delta_h0) == 1e-200
+        assert float(v_coeff) == 2e-200
+        # e = 0, so the bound is 2 sin(Theta)/v
+        assert float(t) == pytest.approx(2.0 * math.sin(math.pi / 4) / 2e-200, rel=1e-15)
+
+    def test_fig1b_bound_scales_down_to_a_tiny_gamma(self, tmp_path):
+        # g's entries are about gamma = 1e-300 and square to 0 unless scaled
+        assert run(tmp_path, "fig1b") == 0
+        unit = read_csv(tmp_path / "out.csv")
+        path = write_config(tmp_path, "[parameters]\ngamma = 1e-300\n")
+        assert run(tmp_path, "fig1b", "--config", path) == 0
+        tiny = read_csv(tmp_path / "out.csv")
+        assert len(tiny) == len(unit)
+        for scaled, row in zip(tiny, unit):
+            assert scaled[0] == row[0]
+            assert float(scaled[3]) == pytest.approx(float(row[3]) / 1e-300, rel=1e-14)

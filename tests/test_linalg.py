@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,33 @@ class TestFrobeniusNorm:
         expected = np.sqrt(sum(abs(x) ** 2 for x in m.reshape(-1)))
         assert linalg.frobenius_norm(m) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(np.sqrt(2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-200, 1e-300, 1e-310])
+    def test_entries_whose_squares_underflow(self, scale, rng):
+        m = random_complex_matrix(rng, 3)
+        assert linalg.frobenius_norm(m * scale) == pytest.approx(
+            linalg.frobenius_norm(m) * scale, rel=1e-14 if scale > 1e-300 else 1e-10
+        )
+
+    def test_one_tiny_entry_is_its_norm(self):
+        assert linalg.frobenius_norm([[1e-170]]) == 1e-170
+
+
+class TestRootSumSquares:
+    def test_a_normal_total_is_its_root(self):
+        x = np.array([3.0, 4.0j])
+        assert linalg.root_sum_squares(25.0, x) == 5.0
+        assert linalg.root_sum_squares(2.0, x) == math.sqrt(2.0)
+
+    def test_a_tiny_total_is_summed_again_scaled(self):
+        x = np.array([3e-200, 4e-200j])
+        assert linalg.root_sum_squares(float(np.vdot(x, x).real), x) == pytest.approx(
+            5e-200, rel=1e-15
+        )
+
+    def test_zero_and_empty_stay_zero(self):
+        assert linalg.root_sum_squares(0.0, np.zeros(3)) == 0.0
+        assert linalg.root_sum_squares(0.0, np.zeros(0)) == 0.0
 
 
 class TestTraceProduct:

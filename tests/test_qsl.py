@@ -70,6 +70,14 @@ class TestComputeQuantities:
         assert q.v_coeff == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert q.delta_h0 == 0.0
 
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300, 1e-310])
+    def test_emission_g_of_a_tiny_rate(self, gamma):
+        # the adjoint dissipator's entries are about gamma and square below
+        # the float range, so its norm is summed on scaled entries
+        q = qsl.compute_quantities(*spontaneous_emission_model(gamma))
+        assert q.g_term / gamma == pytest.approx(1.0, rel=1e-13)
+        assert q.e_term / gamma == pytest.approx(1.0, rel=1e-13)
+
     def test_emission_linear_in_gamma(self):
         q1 = qsl.compute_quantities(*spontaneous_emission_model(1.0))
         q2 = qsl.compute_quantities(*spontaneous_emission_model(2.0))
@@ -410,6 +418,22 @@ class TestLowerBound:
     def test_never_exceeds_t_qsl(self, v, e, theta):
         q = make_q(v, e)
         assert qsl.qsl_lower_bound(q, theta) <= qsl.t_qsl(q, theta) + 1e-12
+
+    @scalar_settings
+    @given(
+        v=st.floats(min_value=0.0, max_value=1e3),
+        e=st.floats(min_value=0.0, max_value=1e3),
+        theta=st.floats(min_value=0.0, max_value=np.pi / 2),
+    )
+    def test_is_the_floor_formula_bit_for_bit(self, v, e, theta):
+        q, s = make_q(v, e), math.sin(theta)
+        try:
+            floor = qsl.qsl_lower_bound(q, theta)
+        except FrozenDynamicsError:
+            with pytest.raises(FrozenDynamicsError):
+                qsl._floor(v, e, s)
+        else:
+            assert qsl._floor(v, e, s) == floor
 
 
 BOUND_HELPERS = [

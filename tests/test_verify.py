@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from openqsl import models, verify
+from openqsl import fisher, models, qsl, verify
 from openqsl.dynamics import LindbladModel, theta_dot_exact
 from openqsl.verify import PropertyResult
 
@@ -138,3 +139,47 @@ class TestRecord:
         ]
         assert list(result.violations[0]) == ["seed", "model_index", "dim", "theta_target", "margin"]
         assert (result.checked, result.worst_margin) == (2, -2.0)
+
+
+def without_e(compute_quantities):
+    def mutant(model, psi0):
+        q = compute_quantities(model, psi0)
+        return qsl.QslQuantities.from_terms(q.delta_h0, q.g_term, 0.0)
+
+    return mutant
+
+
+# The mutants of ROADMAP.md's Baseline table that small_run kills, each as
+# the functions it patches and a map from the original to the mutant. Each
+# is patched at the one function the table names, and e = 0 in fisher too,
+# which imports compute_quantities by name. v = 2 delta_h0 is not listed:
+# it survives small_run, and dies by 1 check of 928 at full size. A mutant
+# that a suite starts to kill joins the list; none leaves it.
+KILLED = {
+    "v = delta_h0 + sqrt(2) g": (
+        [(qsl, "v_coefficient")],
+        lambda f: lambda delta_h0, g_term: delta_h0 + math.sqrt(2.0) * g_term,
+    ),
+    "e = 0": ([(qsl, "compute_quantities"), (fisher, "compute_quantities")], without_e),
+    "angle-rate ceiling without e": (
+        [(qsl, "theta_dot_bound")],
+        lambda f: lambda q, theta: q.v_coeff * math.sin(theta) / math.sin(2.0 * theta),
+    ),
+    "Fisher ceiling without 4e/t": (
+        [(fisher, "qfi_bound")],
+        lambda f: lambda q, t: (2.0 * q.v_coeff) ** 2,
+    ),
+    "floor x 1.01": ([(qsl, "qsl_lower_bound")], lambda f: lambda q, theta: 1.01 * f(q, theta)),
+    "log margin - x^3/6": (
+        [(fisher, "log_inequality_margin")],
+        lambda f: lambda x: f(x) - x**3 / 6.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KILLED))
+def test_small_run_kills_the_mutant(monkeypatch, name):
+    patches, mutate = KILLED[name]
+    for module, attr in patches:
+        monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    assert any(result.violations for result in small_run())
