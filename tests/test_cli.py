@@ -909,8 +909,9 @@ class TestRowsCallTheBoundFormulas:
         columns = config.sweep_columns(cfg, {cfg.sweep_name: cfg.sweep_values})
         rows = read_csv(tmp_path / "out.csv")
         assert len(rows) == len(cfg.sweep_values)
+        theta_target = cfg.param("theta_target", math.pi / 4)
         for i, (row, value) in enumerate(zip(rows, cfg.sweep_values)):
-            target = value if cfg.sweep_name == "theta_target" else cfg.param("theta_target", 0.0)
+            target = value if cfg.sweep_name == "theta_target" else theta_target
             q = qsl.QslQuantities.from_terms(*(column[i] for column in columns[:3]))
             assert row[4:] == [cli._fmt(x) for x in [q.v_coeff, *checked_bounds(q, target)]]
         assert [row[-1] for row in rows] == statuses
